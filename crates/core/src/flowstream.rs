@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Mutex;
 
-use megastream_datastore::store::DataStore;
+use megastream_datastore::store::{DataStore, StreamId};
 use megastream_datastore::summary::{StoredSummary, Summary};
 use megastream_datastore::trigger::TriggerEvent;
 use megastream_datastore::{AggregatorSpec, StorageStrategy};
@@ -246,6 +246,10 @@ pub struct Flowstream {
     /// Raw bytes received per (region, router) in the current epoch —
     /// transferred in one batch at rotation for link accounting.
     raw_pending: Vec<Vec<u64>>,
+    /// `streams[region][router]`: each router's export stream id
+    /// (`router-<region>-<router>`), built once so ingest never formats
+    /// one.
+    streams: Vec<Vec<StreamId>>,
     /// Per-region store-and-forward buffers for summaries whose export to
     /// the NOC failed (uplink down); flushed on a later rotation.
     spill: Vec<Vec<StoredSummary>>,
@@ -312,6 +316,13 @@ impl Flowstream {
             heavy_queries: Mutex::new(SpaceSaving::new(HEAVY_QUERY_LOG_CAPACITY)),
             metrics: StreamMetrics::default(),
             raw_pending: vec![vec![0; routers_per_region]; regions],
+            streams: (0..regions)
+                .map(|g| {
+                    (0..routers_per_region)
+                        .map(|r| StreamId::new(format!("router-{g}-{r}")))
+                        .collect()
+                })
+                .collect(),
             spill: vec![Vec::new(); regions],
             spill_bytes: vec![0; regions],
             faults_seen: FaultCounters::default(),
@@ -639,8 +650,7 @@ impl Flowstream {
             counter.inc();
         }
         self.raw_pending[region][router] += FlowRecord::WIRE_BYTES as u64;
-        let stream = format!("router-{region}-{router}");
-        let events = self.regions[region].ingest_flow(&stream.as_str().into(), rec, rec.ts);
+        let events = self.regions[region].ingest_flow(&self.streams[region][router], rec, rec.ts);
         self.trigger_log.extend(events);
     }
 

@@ -8,6 +8,11 @@
 //! timing: per benchmark it runs one warm-up iteration plus `sample_size`
 //! timed samples (each sample capped by `measurement_time`) and prints
 //! min / mean / max microseconds per iteration.
+//!
+//! Like the real crate, `-- --test` switches to test mode: every benchmark
+//! routine runs exactly once, untimed, so a bench binary can be smoke-tested
+//! in seconds. The experiment tables the benches print before measuring
+//! are unaffected.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,15 +27,26 @@ pub fn black_box<T>(x: T) -> T {
 
 /// The benchmark driver, mirroring `criterion::Criterion`.
 #[derive(Debug, Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    test_mode: bool,
+}
 
 impl Criterion {
+    /// Applies the command-line flags, mirroring
+    /// `criterion::Criterion::configure_from_args`: `--test` selects test
+    /// mode (each routine runs once, untimed).
+    #[must_use]
+    pub fn configure_from_args(mut self) -> Self {
+        self.test_mode = std::env::args().any(|a| a == "--test");
+        self
+    }
+
     /// Starts a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
         println!("\n== bench group: {name}");
         BenchmarkGroup {
-            _c: self,
+            c: self,
             name,
             sample_size: 10,
             measurement_time: Duration::from_secs(1),
@@ -68,7 +84,7 @@ impl From<String> for BenchmarkId {
 /// A group of related benchmarks, mirroring `criterion::BenchmarkGroup`.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
-    _c: &'a mut Criterion,
+    c: &'a mut Criterion,
     name: String,
     sample_size: usize,
     measurement_time: Duration,
@@ -100,11 +116,7 @@ impl BenchmarkGroup<'_> {
         mut f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let id = id.into();
-        let mut b = Bencher {
-            samples_us: Vec::new(),
-            sample_size: self.sample_size,
-            budget: self.measurement_time,
-        };
+        let mut b = self.bencher();
         f(&mut b);
         b.report(&self.name, &id.name);
         self
@@ -117,14 +129,19 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        let mut b = Bencher {
-            samples_us: Vec::new(),
-            sample_size: self.sample_size,
-            budget: self.measurement_time,
-        };
+        let mut b = self.bencher();
         f(&mut b, input);
         b.report(&self.name, &id.name);
         self
+    }
+
+    fn bencher(&self) -> Bencher {
+        Bencher {
+            samples_us: Vec::new(),
+            sample_size: self.sample_size,
+            budget: self.measurement_time,
+            test_mode: self.c.test_mode,
+        }
     }
 
     /// Ends the group (no-op; prints nothing further).
@@ -137,13 +154,18 @@ pub struct Bencher {
     samples_us: Vec<f64>,
     sample_size: usize,
     budget: Duration,
+    test_mode: bool,
 }
 
 impl Bencher {
     /// Times `routine`: one untimed warm-up call, then up to
-    /// `sample_size` timed samples within the measurement budget.
+    /// `sample_size` timed samples within the measurement budget. In test
+    /// mode the untimed call is all that runs.
     pub fn iter<R>(&mut self, mut routine: impl FnMut() -> R) {
         std::hint::black_box(routine());
+        if self.test_mode {
+            return;
+        }
         let started = Instant::now();
         for _ in 0..self.sample_size {
             let t0 = Instant::now();
@@ -156,6 +178,10 @@ impl Bencher {
     }
 
     fn report(&self, group: &str, name: &str) {
+        if self.test_mode {
+            println!("{group}/{name}: ok (test mode, ran once, not timed)");
+            return;
+        }
         if self.samples_us.is_empty() {
             println!("{group}/{name}: no samples");
             return;
@@ -182,7 +208,7 @@ impl Bencher {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         fn $name() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::default().configure_from_args();
             $($target(&mut c);)+
         }
     };
@@ -193,10 +219,14 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            // `cargo test`/`cargo bench` may pass harness flags; none need
-            // special handling here, but `--help` should not hang scripts.
+            // `cargo test`/`cargo bench` may pass harness flags; `--test`
+            // is read by `Criterion::configure_from_args`, and `--help`
+            // should not hang scripts.
             if std::env::args().any(|a| a == "--help") {
-                println!("megastream offline bench shim; runs all benches unconditionally");
+                println!(
+                    "megastream offline bench shim; runs all benches \
+                     (`--test`: each routine once, untimed)"
+                );
                 return;
             }
             $($group();)+

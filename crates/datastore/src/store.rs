@@ -295,8 +295,15 @@ impl DataStore {
         self.aggregators.iter().map(|(id, _, _)| *id).collect()
     }
 
-    fn is_subscribed(&self, id: AggregatorId, stream: &StreamId) -> bool {
-        match self.subscriptions.get(&id) {
+    /// Whether aggregator `id` takes input from `stream` under
+    /// `subscriptions` (a free function of the map, so the ingest loops can
+    /// read it while mutably borrowing the aggregators).
+    fn is_subscribed(
+        subscriptions: &BTreeMap<AggregatorId, Vec<StreamId>>,
+        id: AggregatorId,
+        stream: &StreamId,
+    ) -> bool {
+        match subscriptions.get(&id) {
             None => true,
             Some(streams) => streams.is_empty() || streams.contains(stream),
         }
@@ -321,17 +328,9 @@ impl DataStore {
         self.metrics.raw_bytes.add(FlowRecord::WIRE_BYTES as u64);
         self.metrics.watermark.set(now.as_micros() as i64);
         self.note_source(stream);
-        let ids: Vec<AggregatorId> = self
-            .aggregators
-            .iter()
-            .filter(|(_, spec, _)| spec.consumes_flows())
-            .map(|(id, _, _)| *id)
-            .collect();
-        for id in ids {
-            if self.is_subscribed(id, stream) {
-                if let Some(inst) = self.aggregator_mut(id) {
-                    inst.ingest_flow(rec, now);
-                }
+        for (id, spec, inst) in &mut self.aggregators {
+            if spec.consumes_flows() && Self::is_subscribed(&self.subscriptions, *id, stream) {
+                inst.ingest_flow(rec, now);
             }
         }
         self.triggers.on_flow(rec, now)
@@ -350,17 +349,9 @@ impl DataStore {
         self.metrics.raw_bytes.add(16);
         self.metrics.watermark.set(now.as_micros() as i64);
         self.note_source(stream);
-        let ids: Vec<AggregatorId> = self
-            .aggregators
-            .iter()
-            .filter(|(_, spec, _)| !spec.consumes_flows())
-            .map(|(id, _, _)| *id)
-            .collect();
-        for id in ids {
-            if self.is_subscribed(id, stream) {
-                if let Some(inst) = self.aggregator_mut(id) {
-                    inst.ingest_scalar(value, now);
-                }
+        for (id, spec, inst) in &mut self.aggregators {
+            if !spec.consumes_flows() && Self::is_subscribed(&self.subscriptions, *id, stream) {
+                inst.ingest_scalar(value, now);
             }
         }
         self.triggers.on_scalar(stream, value, now)

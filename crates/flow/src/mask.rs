@@ -189,15 +189,20 @@ impl GeneralizationSchema {
     ///
     /// Normalization only ever generalizes, so the result contains the input.
     pub fn normalize(&self, key: &FlowKey) -> FlowKey {
+        self.normalize_with_rungs(key).0
+    }
+
+    /// [`Self::normalize`] plus the rung index each feature landed on.
+    fn normalize_with_rungs(&self, key: &FlowKey) -> (FlowKey, [usize; 5]) {
+        let rungs = Feature::ALL.map(|f| self.rung_index(f, key.field(f).len()));
         let mut out = *key;
-        for f in Feature::ALL {
-            let len = key.field(f).len();
-            let rung = self.ladder(f)[self.rung_index(f, len)];
-            if rung < len {
+        for (f, idx) in Feature::ALL.into_iter().zip(rungs) {
+            let rung = self.ladder(f)[idx];
+            if rung < key.field(f).len() {
                 out = out.generalize(f, rung);
             }
         }
-        out
+        (out, rungs)
     }
 
     /// Whether `key` sits exactly on ladder rungs for every feature.
@@ -235,19 +240,21 @@ impl GeneralizationSchema {
     /// Picks the feature the next generalization step widens, or `None` if
     /// the key is already the root with respect to the step order.
     fn pick_step_feature(&self, key: &FlowKey) -> Option<Feature> {
-        self.pick_in_order(&self.order, key)
+        self.pick_in_order(&self.order, &|f| self.rung_index(f, key.field(f).len()))
     }
 
-    fn pick_in_order(&self, order: &StepOrder, key: &FlowKey) -> Option<Feature> {
+    /// The step-order rule over a key given as its per-feature rung index.
+    fn pick_in_order(
+        &self,
+        order: &StepOrder,
+        rung: &impl Fn(Feature) -> usize,
+    ) -> Option<Feature> {
         match order {
-            StepOrder::Priority(features) => features
-                .iter()
-                .copied()
-                .find(|f| self.rung_index(*f, key.field(*f).len()) > 0),
+            StepOrder::Priority(features) => features.iter().copied().find(|f| rung(*f) > 0),
             StepOrder::RoundRobin(features) => features
                 .iter()
                 .copied()
-                .map(|f| (self.rung_index(f, key.field(f).len()), f))
+                .map(|f| (rung(f), f))
                 .filter(|(r, _)| *r > 0)
                 // max_by_key returns the *last* max, so order descending by
                 // reversing the tie-break: scan manually.
@@ -259,25 +266,30 @@ impl GeneralizationSchema {
                 .map(|(_, f)| f),
             StepOrder::Stages(stages) => stages
                 .iter()
-                .find_map(|stage| self.pick_in_order(stage, key)),
+                .find_map(|stage| self.pick_in_order(stage, rung)),
         }
     }
 
     /// Iterates over the proper ancestors of `key`, from its parent up to and
-    /// including the root.
+    /// including the root — the chain of [`Self::parent`] calls. An
+    /// off-ladder key's first ancestor is its normalization.
     pub fn ancestors<'a>(&'a self, key: &FlowKey) -> Ancestors<'a> {
+        let (norm, rungs) = self.normalize_with_rungs(key);
         Ancestors {
             schema: self,
-            cur: Some(*key),
-            include_self: false,
+            cur: Some(norm),
+            rungs,
+            include_self: norm != *key,
         }
     }
 
     /// Iterates over `key` (normalized) followed by all its ancestors.
     pub fn self_and_ancestors<'a>(&'a self, key: &FlowKey) -> Ancestors<'a> {
+        let (norm, rungs) = self.normalize_with_rungs(key);
         Ancestors {
             schema: self,
-            cur: Some(self.normalize(key)),
+            cur: Some(norm),
+            rungs,
             include_self: true,
         }
     }
@@ -334,11 +346,18 @@ impl Default for GeneralizationSchema {
 /// Iterator over successive generalizations of a key.
 ///
 /// Produced by [`GeneralizationSchema::ancestors`] and
-/// [`GeneralizationSchema::self_and_ancestors`].
+/// [`GeneralizationSchema::self_and_ancestors`]. It carries the current
+/// (normalized) key's rung index per feature and steps that vector, so
+/// each step is one step-order pick plus one `generalize` — never the
+/// re-normalization and ladder searches of [`GeneralizationSchema::parent`],
+/// whose chain it reproduces exactly.
 #[derive(Debug, Clone)]
 pub struct Ancestors<'a> {
     schema: &'a GeneralizationSchema,
     cur: Option<FlowKey>,
+    /// `cur`'s rung index on each feature's ladder, in [`Feature::ALL`]
+    /// order.
+    rungs: [usize; 5],
     include_self: bool,
 }
 
@@ -351,7 +370,16 @@ impl Iterator for Ancestors<'_> {
             self.include_self = false;
             return Some(cur);
         }
-        let parent = self.schema.parent(&cur);
+        let rungs = self.rungs;
+        let schema = self.schema;
+        let rung_of = |f: Feature| rungs.get(f.index()).copied().unwrap_or(0);
+        // No pick at the top of the step order. A picked feature sits above
+        // rung 0, so stepping it down one rung cannot underflow.
+        let parent = schema.pick_in_order(&schema.order, &rung_of).and_then(|f| {
+            let rung = self.rungs.get_mut(f.index())?;
+            *rung -= 1;
+            Some(cur.generalize(f, *schema.ladder(f).get(*rung)?))
+        });
         self.cur = parent;
         parent
     }
@@ -382,6 +410,7 @@ impl std::error::Error for SchemaError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::FeatureSet;
     use proptest::prelude::*;
 
     fn exact() -> FlowKey {
@@ -557,6 +586,68 @@ mod tests {
             let chain: Vec<_> = s.self_and_ancestors(&a).collect();
             prop_assert_eq!(chain.len(), s.depth(&s.normalize(&a)) + 1);
             prop_assert_eq!(*chain.last().unwrap(), FlowKey::root());
+        }
+
+        /// The stepped walk reproduces the `parent()` chain exactly on every
+        /// built-in schema, for exact, arbitrarily masked (mostly off-ladder,
+        /// e.g. /20) and feature-projected keys.
+        #[test]
+        fn prop_stepped_ancestors_equal_parent_chain(
+            exact in arb_exact_key(),
+            lens in (0u8..=8, 0u8..=32, 0u8..=32, 0u8..=16, 0u8..=16),
+            projection in 0u8..32,
+        ) {
+            let masked = exact
+                .generalize(Feature::Proto, lens.0)
+                .generalize(Feature::SrcIp, lens.1)
+                .generalize(Feature::DstIp, lens.2)
+                .generalize(Feature::SrcPort, lens.3)
+                .generalize(Feature::DstPort, lens.4);
+            let features: FeatureSet = Feature::ALL
+                .into_iter()
+                .filter(|f| projection & (1 << f.index()) != 0)
+                .collect();
+            for s in builtin_schemas() {
+                for key in [exact, masked, exact.project(features), masked.project(features)] {
+                    let ancestors: Vec<_> = s.ancestors(&key).collect();
+                    prop_assert_eq!(ancestors, parent_chain(&s, &key));
+                    let norm = s.normalize(&key);
+                    let mut expected = vec![norm];
+                    expected.extend(parent_chain(&s, &norm));
+                    let walked: Vec<_> = s.self_and_ancestors(&key).collect();
+                    prop_assert_eq!(walked, expected);
+                }
+            }
+        }
+    }
+
+    fn builtin_schemas() -> [GeneralizationSchema; 4] {
+        [
+            GeneralizationSchema::network_default(),
+            GeneralizationSchema::dst_preserving(),
+            GeneralizationSchema::src_preserving(),
+            GeneralizationSchema::bitwise_ip_pair(),
+        ]
+    }
+
+    /// The reference chain: `parent()` applied until the root.
+    fn parent_chain(s: &GeneralizationSchema, key: &FlowKey) -> Vec<FlowKey> {
+        let mut chain = Vec::new();
+        let mut cur = *key;
+        while let Some(p) = s.parent(&cur) {
+            chain.push(p);
+            cur = p;
+        }
+        chain
+    }
+
+    #[test]
+    fn stepped_ancestors_of_offladder_key_start_at_normalization() {
+        for s in builtin_schemas() {
+            let key = exact().generalize(Feature::SrcIp, 20);
+            let ancestors: Vec<_> = s.ancestors(&key).collect();
+            assert_eq!(ancestors, parent_chain(&s, &key));
+            assert_eq!(ancestors.first(), Some(&s.normalize(&key)));
         }
     }
 }

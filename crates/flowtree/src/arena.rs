@@ -25,8 +25,48 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use megastream_flow::key::FlowKey;
+use megastream_flow::key::{Feature, FlowKey};
 use megastream_flow::score::Popularity;
+
+/// The key index's hash key: an injective packing of a [`FlowKey`] into
+/// two `u64`s and a byte, so the index hashes three words instead of
+/// `FlowKey`'s sixteen field-by-field writes.
+///
+/// Each feature's width is fixed and its value is masked, so a key is its
+/// five `(value, mask length)` pairs. `ips` holds both address values,
+/// `rest` both port values plus the five mask lengths (6 + 6 + 5 + 5 + 4
+/// bits), and `proto` the protocol value: every pair lands in its own bit
+/// range, wide enough for the feature's widest length, so distinct keys
+/// never pack alike. The index still hashes with std's keyed
+/// `RandomState`: flow keys are chosen by whoever sends the traffic
+/// (spoofed DDoS sources included), so an unkeyed hash would let them
+/// aim collisions at one bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct IndexKey {
+    ips: u64,
+    rest: u64,
+    proto: u8,
+}
+
+impl IndexKey {
+    fn of(key: &FlowKey) -> Self {
+        let src = key.field(Feature::SrcIp);
+        let dst = key.field(Feature::DstIp);
+        let sport = key.field(Feature::SrcPort);
+        let dport = key.field(Feature::DstPort);
+        let proto = key.field(Feature::Proto);
+        let lens = (u64::from(src.len()) << 20)
+            | (u64::from(dst.len()) << 14)
+            | (u64::from(sport.len()) << 9)
+            | (u64::from(dport.len()) << 4)
+            | u64::from(proto.len());
+        IndexKey {
+            ips: (u64::from(src.value()) << 32) | u64::from(dst.value()),
+            rest: (u64::from(sport.value()) << 48) | (u64::from(dport.value()) << 32) | lens,
+            proto: proto.value() as u8,
+        }
+    }
+}
 
 /// Process-global arena identity source. Relaxed is enough: tokens only
 /// need to be unique, never ordered.
@@ -104,9 +144,9 @@ pub(crate) struct Arena {
     free_len: usize,
     len: usize,
     token: u64,
-    /// Key → id lookup. Never iterated (lookup/insert/remove only), so the
-    /// nondeterministic bucket order can't leak into results.
-    index: HashMap<FlowKey, NodeId>,
+    /// Key → id lookup by packed key. Never iterated (lookup/insert/remove
+    /// only), so the nondeterministic bucket order can't leak into results.
+    index: HashMap<IndexKey, NodeId>,
 }
 
 impl Clone for Arena {
@@ -136,7 +176,7 @@ impl Arena {
             next_sibling: NodeId::NONE,
         };
         let mut index = HashMap::new();
-        index.insert(FlowKey::root(), NodeId::ROOT);
+        index.insert(IndexKey::of(&FlowKey::root()), NodeId::ROOT);
         Arena {
             slots: vec![root],
             free_head: NodeId::NONE,
@@ -187,7 +227,7 @@ impl Arena {
     /// Id of `key`'s node, if materialized. `key` must already be
     /// normalized and projected by the caller.
     pub(crate) fn lookup(&self, key: &FlowKey) -> Option<NodeId> {
-        self.index.get(key).copied()
+        self.index.get(&IndexKey::of(key)).copied()
     }
 
     /// Allocates a detached slot for `key` (no parent/child links yet),
@@ -211,7 +251,7 @@ impl Arena {
             self.slots.push(slot);
             NodeId::from_idx(self.slots.len() - 1)
         };
-        self.index.insert(key, id);
+        self.index.insert(IndexKey::of(&key), id);
         self.len += 1;
         id
     }
@@ -228,7 +268,7 @@ impl Arena {
         if parent.is_some() {
             self.unlink_child(parent, id);
         }
-        let key = self.slots[id.idx()].key;
+        let key = IndexKey::of(&self.slots[id.idx()].key);
         if let Entry::Occupied(e) = self.index.entry(key) {
             if *e.get() == id {
                 e.remove();
@@ -399,5 +439,54 @@ impl<T> Index<NodeId> for IdMap<T> {
 impl<T> IndexMut<NodeId> for IdMap<T> {
     fn index_mut(&mut self, id: NodeId) -> &mut T {
         &mut self.data[id.idx()]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use megastream_flow::addr::Ipv4Addr;
+    use proptest::prelude::*;
+
+    /// The inverse of [`IndexKey::of`]: recovering every key from its
+    /// packing is what makes the packing injective.
+    fn unpack(k: IndexKey) -> FlowKey {
+        let len = |shift: u32, bits: u32| ((k.rest >> shift) & ((1 << bits) - 1)) as u8;
+        FlowKey::five_tuple(
+            k.proto,
+            Ipv4Addr::new((k.ips >> 32) as u32),
+            (k.rest >> 48) as u16,
+            Ipv4Addr::new(k.ips as u32),
+            (k.rest >> 32) as u16,
+        )
+        .generalize(Feature::SrcIp, len(20, 6))
+        .generalize(Feature::DstIp, len(14, 6))
+        .generalize(Feature::SrcPort, len(9, 5))
+        .generalize(Feature::DstPort, len(4, 5))
+        .generalize(Feature::Proto, len(0, 4))
+    }
+
+    #[test]
+    fn root_packs_and_unpacks() {
+        assert_eq!(unpack(IndexKey::of(&FlowKey::root())), FlowKey::root());
+    }
+
+    proptest! {
+        #[test]
+        fn index_key_packing_is_injective(
+            values in (any::<u8>(), any::<u32>(), any::<u16>(), any::<u32>(), any::<u16>()),
+            lens in (0u8..=8, 0u8..=32, 0u8..=32, 0u8..=16, 0u8..=16),
+        ) {
+            let (p, si, sp, di, dp) = values;
+            let exact = FlowKey::five_tuple(p, Ipv4Addr::new(si), sp, Ipv4Addr::new(di), dp);
+            let masked = exact
+                .generalize(Feature::Proto, lens.0)
+                .generalize(Feature::SrcIp, lens.1)
+                .generalize(Feature::DstIp, lens.2)
+                .generalize(Feature::SrcPort, lens.3)
+                .generalize(Feature::DstPort, lens.4);
+            prop_assert_eq!(unpack(IndexKey::of(&exact)), exact);
+            prop_assert_eq!(unpack(IndexKey::of(&masked)), masked);
+        }
     }
 }

@@ -294,7 +294,10 @@ impl Flowtree {
 
     /// The shareable part of [`Flowtree::deep_bytes`]: arena slot plus
     /// key-index entry per live node, plus the fixed arena header. A pure
-    /// function of the node count.
+    /// function of the node count. The index entry is charged at the full
+    /// `FlowKey` width even though the index stores a packed key: the
+    /// account is a stable per-node model, so accounted bytes stay
+    /// comparable across index representations.
     pub fn arena_bytes(&self) -> usize {
         let per_node = std::mem::size_of::<Slot>()
             + std::mem::size_of::<FlowKey>()
@@ -448,8 +451,16 @@ impl Flowtree {
                 Reverse((s.own.value(), s.key, id))
             })
             .collect();
+        // A leaf known to be the minimum of everything still pending, taken
+        // before the heap. A fold that turns its parent into a leaf puts
+        // the parent here directly when it sorts below the heap top, and
+        // otherwise swaps it in for the top (one sift-down) and takes the
+        // old top — never a push followed by popping the same entry.
+        // `(own, key)` is a strict total order over live nodes, so the
+        // fold order is exactly that of pushing and popping.
+        let mut next: Option<(u64, FlowKey, NodeId)> = None;
         while self.len() > target {
-            let Some(Reverse((score, key, id))) = heap.pop() else {
+            let Some((score, key, id)) = next.take().or_else(|| heap.pop().map(|e| e.0)) else {
                 break; // only the root remains
             };
             // Skip stale entries (node already evicted — possibly with the
@@ -470,7 +481,11 @@ impl Flowtree {
             self.detach_and_free(id);
             if parent != NodeId::ROOT && !self.arena.has_children(parent) {
                 let s = self.arena.slot(parent);
-                heap.push(Reverse((s.own.value(), s.key, parent)));
+                let leaf = (s.own.value(), s.key, parent);
+                next = Some(match heap.peek_mut() {
+                    Some(mut top) if top.0 < leaf => std::mem::replace(&mut *top, Reverse(leaf)).0,
+                    _ => leaf,
+                });
             }
         }
     }
@@ -628,8 +643,10 @@ impl Flowtree {
         if let Some(id) = self.arena.lookup(key) {
             return id;
         }
-        // Walk up until we hit a materialized ancestor.
-        let mut missing = vec![*key];
+        // Walk up until we hit a materialized ancestor. Sized for a whole
+        // root-to-leaf chain, so the walk never regrows it.
+        let mut missing = Vec::with_capacity(self.config.schema.max_depth() + 1);
+        missing.push(*key);
         let mut anchor = NodeId::ROOT;
         for anc in self.config.schema.ancestors(key) {
             if let Some(id) = self.arena.lookup(&anc) {

@@ -46,15 +46,20 @@ use megastream_datastore::summary::StoredSummary;
 /// When the cold tier calls `fsync`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// Never fsync explicitly (the OS flushes eventually). Cheapest; a
-    /// power loss may lose recent epochs, a process kill does not.
+    /// Never fsync segment or WAL *data* (the OS flushes it eventually).
+    /// Cheapest; a power loss may lose recent epochs, a process kill does
+    /// not. The renames that commit a seal or a WAL reset are still made
+    /// durable: every seal fsyncs the directory, and every WAL reset
+    /// fsyncs the new header and the directory — 3 fsyncs per rotation.
     Off,
-    /// Fsync after every frame and WAL append. Strongest; every
-    /// acknowledged record survives power loss.
+    /// Fsync after every frame and WAL append, on top of everything
+    /// `OnSeal` does. Strongest; every acknowledged record survives power
+    /// loss.
     WriteThrough,
-    /// Fsync once per segment seal and WAL reset (the default): sealed
-    /// epochs survive power loss, the current epoch's tail rides on the
-    /// page cache.
+    /// Fsync each sealed segment's data before its rename (the default),
+    /// on top of the rename syncs `Off` already issues — 4 fsyncs per
+    /// rotation: sealed epochs survive power loss, the current epoch's
+    /// tail rides on the page cache.
     #[default]
     OnSeal,
 }

@@ -363,8 +363,9 @@ impl SegmentWriter {
 
     /// Seals the segment: appends the frame index and trailer, optionally
     /// fsyncs the file, atomically renames it to its sealed name, and
-    /// fsyncs the directory. Returns the sealed path.
-    pub fn seal(mut self, fsync: bool) -> Result<PathBuf, SegmentError> {
+    /// fsyncs the directory (always, whatever `fsync` says). Returns the
+    /// sealed path and the number of fsyncs issued.
+    pub fn seal(mut self, fsync: bool) -> Result<(PathBuf, u64), SegmentError> {
         let index_off = self.offset;
         let mut block = Vec::with_capacity(4 + self.entries.len() * INDEX_ENTRY_BYTES);
         block.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
@@ -380,13 +381,16 @@ impl SegmentWriter {
         tail.extend_from_slice(&index_off.to_le_bytes());
         tail.extend_from_slice(&INDEX_MAGIC);
         self.write_raw(&tail)?;
+        let mut fsyncs = 0;
         if fsync {
             self.sync()?;
+            fsyncs += 1;
         }
         let sealed = self.dir.join(sealed_name(self.epoch_seq));
         fs::rename(&self.path, &sealed).map_err(|e| io_err("seal rename", &sealed, e))?;
         sync_dir(&self.dir)?;
-        Ok(sealed)
+        fsyncs += 1;
+        Ok((sealed, fsyncs))
     }
 }
 
@@ -631,7 +635,8 @@ fn read_u64(buf: &[u8], at: usize) -> u64 {
 
 /// Rewrites a sealed segment without its corrupt frames (tmp file + atomic
 /// rename, index recomputed), quarantining the bad payload bytes under
-/// `quarantine/`. Returns the number of frames dropped.
+/// `quarantine/`. Returns the number of fsyncs issued (none when there was
+/// nothing to excise).
 pub fn rewrite_sealed(dir: &Path, path: &Path, scan: &SegmentScan) -> Result<u64, SegmentError> {
     if scan.corrupt.is_empty() {
         return Ok(0);
@@ -652,9 +657,9 @@ pub fn rewrite_sealed(dir: &Path, path: &Path, scan: &SegmentScan) -> Result<u64
     for frame in &scan.frames {
         w.append_frame(frame)?;
     }
-    let sealed = w.seal(true)?;
+    let (sealed, fsyncs) = w.seal(true)?;
     debug_assert_eq!(&sealed, path);
-    Ok(scan.corrupt.len() as u64)
+    Ok(fsyncs)
 }
 
 #[cfg(test)]
@@ -702,7 +707,8 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let mut w = SegmentWriter::create(&dir, 1, Timestamp::from_secs(60)).unwrap();
         w.append_frame(&meta()).unwrap();
-        let sealed = w.seal(false).unwrap();
+        let (sealed, fsyncs) = w.seal(false).unwrap();
+        assert_eq!(fsyncs, 1, "the directory fsync is unconditional");
         let scan = read_segment(&sealed, true).unwrap();
         assert_eq!(scan.epoch_seq, 1);
         assert_eq!(scan.frames.len(), 1);

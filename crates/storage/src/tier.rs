@@ -9,8 +9,14 @@
 //! append_frame(..)*      streamed DURING the rotation, not after it —
 //!                        so a kill mid-rotation leaves a torn tail
 //! seal_epoch()           index + [fsync] + rename epoch-N.seg + dir fsync
-//! wal_reset()            fresh ingest.wal with seq N+1 (tmp + rename)
+//! wal_reset()            fresh ingest.wal with seq N+1 (tmp + header
+//!                        fsync + rename + dir fsync)
 //! ```
+//!
+//! The bracketed data fsync is the only one [`SyncPolicy::Off`] skips, so
+//! a rotation issues 3 fsyncs under `Off` and 4 under `OnSeal`;
+//! `WriteThrough` adds one per frame and WAL append.
+//! `storage.segments.fsync_total` counts every one of them.
 //!
 //! ## Failure discipline
 //!
@@ -26,7 +32,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use megastream_flow::time::Timestamp;
-use megastream_telemetry::Telemetry;
+use megastream_telemetry::{Counter, Gauge, Telemetry};
 
 use crate::crc::crc32;
 use crate::segment::{
@@ -93,12 +99,42 @@ pub struct RecoveryReport {
     pub repaired_segments: u64,
 }
 
+/// Cached handles for the metrics the tier updates per op, registered
+/// once when the tier is created or opened so no append looks a metric up
+/// by name. All are no-ops on a disabled [`Telemetry`].
+#[derive(Debug)]
+struct TierMetrics {
+    wal_records: Counter,
+    wal_bytes: Counter,
+    frames: Counter,
+    frame_bytes: Counter,
+    sealed: Counter,
+    /// Every fsync the tier issues, whatever the policy: data syncs and
+    /// the header/directory syncs that commit seals and WAL resets.
+    fsyncs: Counter,
+    active_bytes: Gauge,
+}
+
+impl TierMetrics {
+    fn new(tel: &Telemetry) -> Self {
+        TierMetrics {
+            wal_records: tel.counter("storage.wal.records_total"),
+            wal_bytes: tel.counter("storage.wal.bytes_total"),
+            frames: tel.counter("storage.segments.frames_total"),
+            frame_bytes: tel.counter("storage.segments.bytes_total"),
+            sealed: tel.counter("storage.segments.sealed_total"),
+            fsyncs: tel.counter("storage.segments.fsync_total"),
+            active_bytes: tel.gauge("storage.segments.active_bytes"),
+        }
+    }
+}
+
 /// Handle to one cold-tier directory.
 #[derive(Debug)]
 pub struct ColdTier {
     dir: PathBuf,
     sync: SyncPolicy,
-    tel: Telemetry,
+    metrics: TierMetrics,
     /// Sequence the *next* `begin_epoch` will use.
     next_seq: u64,
     writer: Option<SegmentWriter>,
@@ -109,6 +145,19 @@ pub struct ColdTier {
     dead: bool,
     first_error: Option<SegmentError>,
     disk_bytes: u64,
+}
+
+/// Adds one recovery's damage and salvage to the `storage.recovery.*`
+/// counters.
+fn account_recovery(tel: &Telemetry, report: &RecoveryReport) {
+    tel.counter("storage.recovery.torn_frames")
+        .add(report.torn_frames);
+    tel.counter("storage.recovery.corrupt_frames")
+        .add(report.corrupt_frames);
+    tel.counter("storage.recovery.recovered_frames")
+        .add(report.recovered_frames);
+    tel.counter("storage.recovery.truncated_bytes")
+        .add(report.truncated_bytes);
 }
 
 impl ColdTier {
@@ -122,10 +171,12 @@ impl ColdTier {
             });
         }
         let wal = WalWriter::create(dir, 1)?;
+        let metrics = TierMetrics::new(&tel);
+        metrics.fsyncs.add(wal.fsyncs());
         let tier = ColdTier {
             dir: dir.to_path_buf(),
             sync,
-            tel,
+            metrics,
             next_seq: 1,
             writer: None,
             wal: Some(wal),
@@ -150,6 +201,7 @@ impl ColdTier {
         tel: Telemetry,
     ) -> Result<(Self, RecoveryReport), SegmentError> {
         let mut report = RecoveryReport::default();
+        let metrics = TierMetrics::new(&tel);
 
         // Sealed segments, in sequence order.
         let mut sealed: BTreeMap<u64, PathBuf> = BTreeMap::new();
@@ -179,7 +231,7 @@ impl ColdTier {
             report.truncated_bytes += scan.truncated_bytes;
             report.recovered_frames += scan.frames.len() as u64;
             if !scan.corrupt.is_empty() {
-                rewrite_sealed(dir, path, &scan)?;
+                metrics.fsyncs.add(rewrite_sealed(dir, path, &scan)?);
                 report.repaired_segments += 1;
             }
             report.bundles.push(EpochBundle {
@@ -227,11 +279,12 @@ impl ColdTier {
         // Fresh WAL for the resumed epoch.
         let next_seq = max_sealed + 1;
         let wal = WalWriter::create(dir, next_seq)?;
+        metrics.fsyncs.add(wal.fsyncs());
 
         let mut tier = ColdTier {
             dir: dir.to_path_buf(),
             sync,
-            tel,
+            metrics,
             next_seq,
             writer: None,
             wal: Some(wal),
@@ -242,24 +295,9 @@ impl ColdTier {
             disk_bytes: 0,
         };
         tier.disk_bytes = tier.measure_disk();
-        tier.account_recovery(&report);
+        account_recovery(&tel, &report);
         tier.refresh_gauges();
         Ok((tier, report))
-    }
-
-    fn account_recovery(&self, report: &RecoveryReport) {
-        self.tel
-            .counter("storage.recovery.torn_frames")
-            .add(report.torn_frames);
-        self.tel
-            .counter("storage.recovery.corrupt_frames")
-            .add(report.corrupt_frames);
-        self.tel
-            .counter("storage.recovery.recovered_frames")
-            .add(report.recovered_frames);
-        self.tel
-            .counter("storage.recovery.truncated_bytes")
-            .add(report.truncated_bytes);
     }
 
     fn measure_disk(&self) -> u64 {
@@ -277,9 +315,7 @@ impl ColdTier {
     }
 
     fn refresh_gauges(&self) {
-        self.tel
-            .gauge("storage.segments.active_bytes")
-            .set(self.disk_bytes as i64);
+        self.metrics.active_bytes.set(self.disk_bytes as i64);
     }
 
     /// The tier's directory.
@@ -411,13 +447,11 @@ impl ColdTier {
         };
         if sync == SyncPolicy::WriteThrough {
             writer.sync()?;
-            self.tel.counter("storage.segments.fsync_total").inc();
+            self.metrics.fsyncs.inc();
         }
         self.disk_bytes += written;
-        self.tel.counter("storage.segments.frames_total").inc();
-        self.tel
-            .counter("storage.segments.bytes_total")
-            .add(written);
+        self.metrics.frames.inc();
+        self.metrics.frame_bytes.add(written);
         self.refresh_gauges();
         Ok(())
     }
@@ -447,21 +481,15 @@ impl ColdTier {
             }
             _ => {}
         }
-        let fsync = self.sync != SyncPolicy::Off;
-        let frames = writer.frame_count() as u64;
         let before = writer.bytes_written();
-        writer.seal(fsync)?;
-        if fsync {
-            self.tel.counter("storage.segments.fsync_total").inc();
-        }
+        let (sealed_path, fsyncs) = writer.seal(self.sync != SyncPolicy::Off)?;
+        self.metrics.fsyncs.add(fsyncs);
         // Index + trailer bytes: measured as the growth over the data size.
-        let sealed_path = self.dir.join(segment::sealed_name(self.next_seq));
         let after = fs::metadata(&sealed_path)
             .map(|m| m.len())
             .unwrap_or(before);
         self.disk_bytes += after.saturating_sub(before);
-        self.tel.counter("storage.segments.sealed_total").inc();
-        let _ = frames;
+        self.metrics.sealed.inc();
         self.next_seq += 1;
         self.refresh_gauges();
         Ok(())
@@ -495,16 +523,17 @@ impl ColdTier {
         let written = wal.append(rec)?;
         if sync == SyncPolicy::WriteThrough {
             wal.sync()?;
-            self.tel.counter("storage.segments.fsync_total").inc();
+            self.metrics.fsyncs.inc();
         }
         self.disk_bytes += written;
-        self.tel.counter("storage.wal.records_total").inc();
-        self.tel.counter("storage.wal.bytes_total").add(written);
+        self.metrics.wal_records.inc();
+        self.metrics.wal_bytes.add(written);
         self.refresh_gauges();
         Ok(())
     }
 
-    /// Resets the WAL for the epoch that begins after the last seal.
+    /// Resets the WAL for the epoch that begins after the last seal
+    /// (fsyncing the new header and the directory under every policy).
     /// Called immediately after [`ColdTier::seal_epoch`]; the atomic
     /// tmp-and-rename means a crash here leaves either the old (now stale)
     /// WAL or the new empty one, both of which recovery handles.
@@ -520,14 +549,12 @@ impl ColdTier {
         }
         let old_bytes = self.wal.as_ref().map(|w| w.bytes_written()).unwrap_or(0);
         let wal = WalWriter::create(&self.dir, self.next_seq)?;
+        self.metrics.fsyncs.add(wal.fsyncs());
         self.disk_bytes = self
             .disk_bytes
             .saturating_sub(old_bytes)
             .saturating_add(wal::WAL_HEADER_BYTES);
         self.wal = Some(wal);
-        if self.sync != SyncPolicy::Off {
-            self.tel.counter("storage.segments.fsync_total").inc();
-        }
         self.refresh_gauges();
         Ok(())
     }
@@ -677,6 +704,95 @@ mod tests {
         // Second open: the rewrite removed the bad frame, so now clean.
         let (_, report2) = ColdTier::open(&d, SyncPolicy::Off, Telemetry::disabled()).unwrap();
         assert_eq!(report2.corrupt_frames, 0);
+        fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// Runs one rotation's worth of tier ops — `wal` WAL appends, then a
+    /// segment of `frames` frames, sealed, and a WAL reset.
+    fn rotation(tier: &mut ColdTier, epoch: u64, wal: u64, frames: u64) {
+        for i in 0..wal {
+            tier.wal_append(&wal_rec(epoch * 100 + i)).unwrap();
+        }
+        tier.begin_epoch(Timestamp::from_secs(60 * epoch)).unwrap();
+        for i in 0..frames {
+            tier.append_frame(&Frame::Exported {
+                region: 0,
+                summary: summary(i),
+            })
+            .unwrap();
+        }
+        tier.seal_epoch().unwrap();
+        tier.wal_reset().unwrap();
+    }
+
+    fn counter(tel: &Telemetry, name: &str) -> u64 {
+        tel.snapshot().counter(name).unwrap_or(0)
+    }
+
+    #[test]
+    fn fsync_count_per_rotation_is_pinned_per_policy() {
+        const WAL: u64 = 5;
+        const FRAMES: u64 = 3;
+        // (policy, fsyncs per rotation): the WAL reset's header + directory
+        // syncs and the seal's directory sync always happen; `OnSeal` adds
+        // the sealed data; `WriteThrough` also syncs every append.
+        for (policy, per_rotation) in [
+            (SyncPolicy::Off, 3),
+            (SyncPolicy::OnSeal, 4),
+            (SyncPolicy::WriteThrough, 4 + WAL + FRAMES),
+        ] {
+            let d = dir(&format!("fsync-{policy:?}"));
+            let tel = Telemetry::new();
+            let mut tier = ColdTier::create(&d, policy, tel.clone()).unwrap();
+            // Creating the tier writes its first WAL header: 2 fsyncs.
+            assert_eq!(counter(&tel, "storage.segments.fsync_total"), 2);
+            for epoch in 1..=3 {
+                let before = counter(&tel, "storage.segments.fsync_total");
+                rotation(&mut tier, epoch, WAL, FRAMES);
+                let issued = counter(&tel, "storage.segments.fsync_total") - before;
+                assert_eq!(issued, per_rotation, "{policy:?} epoch {epoch}");
+            }
+            drop(tier);
+            // Reopening writes a fresh WAL header: 2 more.
+            let before = counter(&tel, "storage.segments.fsync_total");
+            let (_tier, _) = ColdTier::open(&d, policy, tel.clone()).unwrap();
+            assert_eq!(counter(&tel, "storage.segments.fsync_total") - before, 2);
+            fs::remove_dir_all(&d).unwrap();
+        }
+    }
+
+    #[test]
+    fn wal_and_disk_metrics_match_what_was_written() {
+        let d = dir("metrics");
+        let tel = Telemetry::new();
+        let mut tier = ColdTier::create(&d, SyncPolicy::OnSeal, tel.clone()).unwrap();
+        let disk = |d: &Path| -> i64 {
+            fs::read_dir(d)
+                .unwrap()
+                .map(|e| e.unwrap().metadata().unwrap())
+                .filter(|m| m.is_file())
+                .map(|m| m.len() as i64)
+                .sum()
+        };
+        let active = || tel.snapshot().gauge("storage.segments.active_bytes");
+        assert_eq!(active(), Some(disk(&d)));
+        let mut appended = 0;
+        for i in 0..40 {
+            tier.wal_append(&wal_rec(i)).unwrap();
+            appended += WalWriter::chunk_for(&wal_rec(i)).len() as u64;
+        }
+        assert_eq!(counter(&tel, "storage.wal.records_total"), 40);
+        assert_eq!(counter(&tel, "storage.wal.bytes_total"), appended);
+        let wal_len = fs::metadata(d.join(WAL_FILE)).unwrap().len();
+        assert_eq!(wal_len, wal::WAL_HEADER_BYTES + appended);
+        assert_eq!(active(), Some(disk(&d)));
+        // A rotation resets the WAL; the counters are cumulative and the
+        // gauge keeps tracking the directory.
+        rotation(&mut tier, 1, 7, 2);
+        assert_eq!(counter(&tel, "storage.wal.records_total"), 47);
+        assert_eq!(counter(&tel, "storage.segments.frames_total"), 2);
+        assert_eq!(counter(&tel, "storage.segments.sealed_total"), 1);
+        assert_eq!(active(), Some(disk(&d)));
         fs::remove_dir_all(&d).unwrap();
     }
 

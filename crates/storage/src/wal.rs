@@ -52,13 +52,21 @@ pub struct WalRecord {
     pub record: FlowRecord,
 }
 
-fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(56);
-    payload.extend_from_slice(&rec.rr.to_le_bytes());
-    payload.extend_from_slice(&rec.region.to_le_bytes());
-    payload.extend_from_slice(&rec.router.to_le_bytes());
-    enc_flow_record(&mut payload, &rec.record);
-    payload
+/// Encodes a record's full chunk (`[len][crc][payload]`) into `buf`,
+/// replacing its contents.
+fn encode_chunk(buf: &mut Vec<u8>, rec: &WalRecord) {
+    buf.clear();
+    buf.extend_from_slice(&[0; 8]);
+    buf.extend_from_slice(&rec.rr.to_le_bytes());
+    buf.extend_from_slice(&rec.region.to_le_bytes());
+    buf.extend_from_slice(&rec.router.to_le_bytes());
+    enc_flow_record(buf, &rec.record);
+    let payload = buf.get(8..).unwrap_or_default();
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    for (dst, src) in buf.iter_mut().zip(len.into_iter().chain(crc)) {
+        *dst = src;
+    }
 }
 
 fn decode_record(payload: &[u8]) -> Result<WalRecord, SegmentError> {
@@ -84,12 +92,17 @@ pub struct WalWriter {
     epoch_seq: u64,
     offset: u64,
     records: u64,
+    /// Fsyncs issued so far, the two of [`WalWriter::create`] included.
+    fsyncs: u64,
+    /// Chunk buffer reused by every append.
+    buf: Vec<u8>,
 }
 
 impl WalWriter {
     /// Creates a fresh WAL for `epoch_seq`: header written to a tmp file,
     /// fsynced, atomically renamed over `ingest.wal`, directory fsynced —
     /// so the reset itself can never leave a half-written header behind.
+    /// Both fsyncs happen under every [`SyncPolicy`](crate::SyncPolicy).
     pub fn create(dir: &Path, epoch_seq: u64) -> Result<Self, SegmentError> {
         let tmp = dir.join("ingest.wal.tmp");
         let path = dir.join(WAL_FILE);
@@ -123,6 +136,8 @@ impl WalWriter {
             epoch_seq,
             offset: WAL_HEADER_BYTES,
             records: 0,
+            fsyncs: 2, // the header and directory syncs above
+            buf: Vec::new(),
         })
     }
 
@@ -141,6 +156,12 @@ impl WalWriter {
         self.offset
     }
 
+    /// Fsyncs issued so far: the header and directory syncs of
+    /// [`WalWriter::create`] plus one per [`WalWriter::sync`].
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
+    }
+
     /// Writes raw bytes with no framing (fault-injection hook for torn
     /// appends); normal callers use [`WalWriter::append`].
     pub fn write_raw(&mut self, bytes: &[u8]) -> Result<(), SegmentError> {
@@ -154,27 +175,31 @@ impl WalWriter {
     /// Builds the full chunk ([len][crc][payload]) for a record — split out
     /// so the fault injector can write a prefix of it.
     pub fn chunk_for(rec: &WalRecord) -> Vec<u8> {
-        let payload = encode_record(rec);
-        let mut chunk = Vec::with_capacity(8 + payload.len());
-        chunk.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        chunk.extend_from_slice(&crc32(&payload).to_le_bytes());
-        chunk.extend_from_slice(&payload);
+        let mut chunk = Vec::new();
+        encode_chunk(&mut chunk, rec);
         chunk
     }
 
-    /// Appends one record; returns bytes written.
+    /// Appends one record with a single write of its whole chunk (encoded
+    /// into a reused buffer); returns bytes written.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, SegmentError> {
-        let chunk = Self::chunk_for(rec);
-        self.write_raw(&chunk)?;
+        encode_chunk(&mut self.buf, rec);
+        self.file
+            .write_all(&self.buf)
+            .map_err(|e| io_err("write wal", &self.path, e))?;
+        let written = self.buf.len() as u64;
+        self.offset += written;
         self.records += 1;
-        Ok(chunk.len() as u64)
+        Ok(written)
     }
 
     /// Fsyncs the log (write-through sync policy).
-    pub fn sync(&self) -> Result<(), SegmentError> {
+    pub fn sync(&mut self) -> Result<(), SegmentError> {
         self.file
             .sync_all()
-            .map_err(|e| io_err("sync wal", &self.path, e))
+            .map_err(|e| io_err("sync wal", &self.path, e))?;
+        self.fsyncs += 1;
+        Ok(())
     }
 }
 

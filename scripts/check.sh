@@ -38,10 +38,12 @@ cargo test --test profile_e2e --test accounting_props -q
 echo "==> arena vs pointer-oracle differential harness"
 cargo test --test arena_differential -q
 
-echo "==> E18 smoke: arena-vs-pointer bench runs end-to-end"
-# The offline criterion shim runs everything unconditionally (~8 s); this
-# proves the arena/oracle pairing still builds and executes end-to-end.
-cargo bench -q -p megastream-bench --bench e18_arena_merge >/dev/null
+echo "==> E2 + E18 smoke: Flowtree operator and arena-vs-pointer benches run end-to-end"
+# `-- --test` runs each Criterion routine once, untimed, after the
+# experiment table; this proves the operator and arena/oracle benches
+# still build and execute end-to-end.
+cargo bench -q -p megastream-bench --bench e2_flowtree_ops -- --test >/dev/null
+cargo bench -q -p megastream-bench --bench e18_arena_merge -- --test >/dev/null
 
 echo "==> durability: kill-and-restart recovery e2e"
 cargo test --test durability_e2e -q
