@@ -7,12 +7,15 @@
 //! > FlowQL API ⑤."
 //!
 //! [`Flowstream`] wires routers (flow sources) to per-region data stores
-//! running Flowtree aggregators over an [`IspTopology`], exports each
-//! epoch's summaries up to a network-wide store *and* into a [`FlowDb`],
-//! and answers FlowQL queries.
+//! running Flowtree aggregators over an [`IspTopology`]. The region stores
+//! are the children of a network-wide (NOC) store in a [`StoreHierarchy`],
+//! whose pump exports each epoch's summaries up to the NOC. An observer of
+//! that pump indexes what reaches the NOC in a [`FlowDb`] and journals
+//! it, and FlowQL queries run against the index.
 
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use megastream_datastore::store::{DataStore, StreamId};
@@ -23,7 +26,6 @@ use megastream_flow::mask::GeneralizationSchema;
 use megastream_flow::record::FlowRecord;
 use megastream_flow::score::ScoreKind;
 use megastream_flow::time::{TimeDelta, Timestamp};
-use megastream_flowdb::par::fan_out;
 use megastream_flowdb::{FlowDb, Parallelism, QueryResult};
 use megastream_flowtree::FlowtreeConfig;
 use megastream_netsim::hierarchy::IspTopology;
@@ -38,7 +40,9 @@ use megastream_telemetry::{
     Telemetry, TraceSnapshot, Tracer, LATENCY_MICROS_BOUNDS,
 };
 
-use crate::hierarchy::{absorb_summary, jitter_micros, summaries_mergeable};
+use crate::hierarchy::{
+    EdgeOutcome, ExportStats, HierarchyId, PumpEvent, PumpPolicy, StoreHierarchy,
+};
 
 /// What a fan-out query does when some locations are unreachable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,17 +77,9 @@ pub struct FlowstreamConfig {
     pub storage: StorageStrategy,
     /// What queries do when locations are unreachable.
     pub degradation: DegradationPolicy,
-    /// Re-attempts after a transient summary-export failure.
-    pub export_retries: u32,
-    /// Backoff before the first export retry; doubles per retry.
-    pub export_backoff: TimeDelta,
-    /// Seed of the deterministic jitter added to each export backoff so
-    /// concurrent regions don't retry in lock-step (thundering herd). The
-    /// same seed reproduces the same retry schedule bit-for-bit.
-    pub export_jitter_seed: u64,
-    /// Per-region spill buffer bound for summaries awaiting a recovered
-    /// uplink (oldest dropped, with accounting, on overflow).
-    pub spill_capacity_bytes: u64,
+    /// Retries, backoff, jitter seed and spill bound of the region → NOC
+    /// exports.
+    pub export: PumpPolicy,
     /// Worker threads of the data plane: region epoch rotations and
     /// FlowDB's per-location query fan-out. Every setting produces
     /// bit-identical results ([`Parallelism::Sequential`] is the oracle
@@ -103,10 +99,7 @@ impl Default for FlowstreamConfig {
                 fanout: 2,
             },
             degradation: DegradationPolicy::default(),
-            export_retries: 3,
-            export_backoff: TimeDelta::from_millis(200),
-            export_jitter_seed: 0,
-            spill_capacity_bytes: 4 << 20,
+            export: PumpPolicy::default(),
             parallelism: Parallelism::default(),
         }
     }
@@ -194,8 +187,8 @@ pub struct FlowstreamStats {
 }
 
 /// Cached telemetry handles for the Flowstream fabric itself (per-router
-/// ingest counters, FlowQL end-to-end latency, rotation stage timers, and
-/// the watermark/spill gauges the ops plane's health rules watch).
+/// ingest counters, FlowQL end-to-end latency, the rotation timer, and the
+/// watermark gauge). The export edges record under `hierarchy.*`.
 #[derive(Debug, Clone, Default)]
 struct StreamMetrics {
     /// `router_records[region][router]` — empty when telemetry is disabled.
@@ -205,18 +198,8 @@ struct StreamMetrics {
     query_errors: Counter,
     /// End-to-end wall-clock of one `rotate` pass.
     rotate_micros: Histogram,
-    /// Per-stage wall-clock inside `rotate`: spill flush, region rotation,
-    /// NOC export + indexing.
-    stage_flush_micros: Histogram,
-    stage_rotate_micros: Histogram,
-    stage_export_micros: Histogram,
     /// Newest ingested simulated timestamp (`flowstream.watermark_micros`).
     watermark: Gauge,
-    /// Aggregate spill occupancy across regions, plus one labeled gauge
-    /// per region (`flowstream.spill.buffered_bytes{region=g}`).
-    spill_bytes_gauge: Gauge,
-    spill_summaries_gauge: Gauge,
-    spill_region_bytes: Vec<Gauge>,
 }
 
 /// Capacity of the bounded heavy-query log: only the heaviest ~64 distinct
@@ -238,10 +221,15 @@ pub struct Flowstream {
     /// threads.
     heavy_queries: Mutex<SpaceSaving<String>>,
     metrics: StreamMetrics,
-    topology: IspTopology,
+    /// `routers[region][router]`: the routers' network nodes.
+    routers: Vec<Vec<NodeId>>,
+    /// The cloud node queries fan out from.
+    cloud: NodeId,
     config: FlowstreamConfig,
-    regions: Vec<DataStore>,
-    noc: DataStore,
+    /// The NOC store ([`NOC`]) over the region stores ([`region_id`]), on
+    /// the topology's network. Its pump retries, parks and flushes the
+    /// region → NOC exports.
+    hierarchy: StoreHierarchy,
     flowdb: FlowDb,
     /// Raw bytes received per (region, router) in the current epoch —
     /// transferred in one batch at rotation for link accounting.
@@ -250,11 +238,14 @@ pub struct Flowstream {
     /// (`router-<region>-<router>`), built once so ingest never formats
     /// one.
     streams: Vec<Vec<StreamId>>,
-    /// Per-region store-and-forward buffers for summaries whose export to
-    /// the NOC failed (uplink down); flushed on a later rotation.
-    spill: Vec<Vec<StoredSummary>>,
-    spill_bytes: Vec<u64>,
-    faults_seen: FaultCounters,
+    /// Running totals of every pump; the fault counters among them are
+    /// copied into [`FlowstreamStats`].
+    exports: ExportStats,
+    /// Raw router → region accounting batches deferred on a down link.
+    raw_deferrals: u64,
+    /// Queries answered partially. Atomic because queries run through
+    /// `&self`, possibly from several threads at once.
+    partial_queries: AtomicU64,
     epoch_end: Timestamp,
     now: Timestamp,
     rr: usize,
@@ -266,19 +257,12 @@ pub struct Flowstream {
     cold: Option<ColdTier>,
 }
 
-/// Running totals of fault handling, copied into [`FlowstreamStats`].
-/// `partial_queries` is atomic because queries run through `&self` — and,
-/// since the data plane went parallel, possibly from several threads at
-/// once.
-#[derive(Debug, Default)]
-struct FaultCounters {
-    export_retries: u64,
-    spilled: u64,
-    flushed: u64,
-    dropped: u64,
-    dropped_bytes: u64,
-    raw_deferrals: u64,
-    partial_queries: std::sync::atomic::AtomicU64,
+/// The NOC store: the hierarchy's root, added first.
+const NOC: HierarchyId = HierarchyId(0);
+
+/// Region `g`'s store: the NOC's child added `g`-th.
+fn region_id(g: usize) -> HierarchyId {
+    HierarchyId(g + 1)
 }
 
 impl Flowstream {
@@ -289,24 +273,33 @@ impl Flowstream {
     ///
     /// Panics if either count is zero.
     pub fn new(regions: usize, routers_per_region: usize, config: FlowstreamConfig) -> Self {
-        let topology = IspTopology::build(regions, routers_per_region);
+        let IspTopology {
+            network,
+            routers,
+            regions: region_nodes,
+            noc,
+            cloud,
+        } = IspTopology::build(regions, routers_per_region);
         let tree_config = FlowtreeConfig::default()
             .with_capacity(config.tree_capacity)
             .with_score_kind(config.score_kind)
             .with_schema(config.schema.clone());
-        let mut region_stores = Vec::with_capacity(regions);
-        for g in 0..regions {
-            let mut store = DataStore::new(format!("region-{g}"), config.storage, config.epoch_len);
-            store.install_aggregator(AggregatorSpec::Flowtree(tree_config.clone()));
-            region_stores.push(store);
-        }
+        let mut hierarchy = StoreHierarchy::new(network);
+        hierarchy.set_pump_policy(config.export);
+        hierarchy.set_parallelism(config.parallelism);
         // The network-wide store aggregates over a 4× longer horizon.
-        let mut noc = DataStore::new(
+        let mut noc_store = DataStore::new(
             "noc",
             config.storage,
             TimeDelta::from_micros(config.epoch_len.as_micros() * 4),
         );
-        noc.install_aggregator(AggregatorSpec::Flowtree(tree_config));
+        noc_store.install_aggregator(AggregatorSpec::Flowtree(tree_config.clone()));
+        hierarchy.add_root(noc_store, noc);
+        for (g, &node) in region_nodes.iter().enumerate() {
+            let mut store = DataStore::new(format!("region-{g}"), config.storage, config.epoch_len);
+            store.install_aggregator(AggregatorSpec::Flowtree(tree_config.clone()));
+            hierarchy.add_child(store, node, NOC);
+        }
         let epoch_end = Timestamp::ZERO + config.epoch_len;
         let par = config.parallelism;
         Flowstream {
@@ -323,13 +316,13 @@ impl Flowstream {
                         .collect()
                 })
                 .collect(),
-            spill: vec![Vec::new(); regions],
-            spill_bytes: vec![0; regions],
-            faults_seen: FaultCounters::default(),
-            topology,
+            exports: ExportStats::default(),
+            raw_deferrals: 0,
+            partial_queries: AtomicU64::new(0),
+            routers,
+            cloud,
             config,
-            regions: region_stores,
-            noc,
+            hierarchy,
             flowdb: FlowDb::new().with_parallelism(par),
             epoch_end,
             now: Timestamp::ZERO,
@@ -375,39 +368,13 @@ impl Flowstream {
         self.cold.as_ref().is_some_and(ColdTier::is_dead)
     }
 
-    /// Whether a cold tier is attached and still accepting writes.
-    fn cold_active(&self) -> bool {
-        self.cold.as_ref().is_some_and(|t| !t.is_dead())
-    }
-
-    /// Runs one cold-tier operation, declaring the tier dead on any real
-    /// failure so the data plane degrades to in-memory instead of
-    /// erroring. No-op when no live tier is attached.
-    fn cold_op(&mut self, op: impl FnOnce(&mut ColdTier) -> Result<(), SegmentError>) {
-        let Some(tier) = self.cold.as_mut() else {
-            return;
-        };
-        if tier.is_dead() {
-            return;
-        }
-        if let Err(e) = op(tier) {
-            if !matches!(e, SegmentError::TierDead) {
-                tier.mark_dead(e);
-            }
-        }
-    }
-
-    /// Journals one frame into the cold tier's open epoch segment.
-    fn cold_frame(&mut self, frame: Frame) {
-        self.cold_op(|t| t.append_frame(&frame));
-    }
-
     /// Sets how many worker threads the data plane uses — region epoch
     /// rotations in the pump and FlowDB's per-location query fan-out.
     /// Every setting produces bit-identical results; only wall-clock time
     /// differs. Can be changed at any point in a deployment's life.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.config.parallelism = par;
+        self.hierarchy.set_parallelism(par);
         self.flowdb.set_parallelism(par);
     }
 
@@ -416,20 +383,18 @@ impl Flowstream {
         self.config.parallelism
     }
 
-    /// Connects the whole deployment to a telemetry registry: every region
-    /// store, the NOC store, FlowDB, per-router ingest counters, and the
-    /// FlowQL end-to-end latency histogram. Passing
-    /// [`Telemetry::disabled`] detaches everything again.
+    /// Connects the whole deployment to a telemetry registry: the store
+    /// hierarchy (every region store, the NOC store and the exports
+    /// between them), FlowDB, per-router ingest counters, and the FlowQL
+    /// end-to-end latency histogram. Passing [`Telemetry::disabled`]
+    /// detaches everything again.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
-        for store in &mut self.regions {
-            store.set_telemetry(tel);
-        }
-        self.noc.set_telemetry(tel);
+        self.hierarchy.set_telemetry(tel);
         self.flowdb.set_telemetry(tel);
         self.metrics = if tel.is_enabled() {
             StreamMetrics {
-                router_records: (0..self.regions.len())
+                router_records: (0..self.regions())
                     .map(|g| {
                         (0..self.raw_pending[g].len())
                             .map(|r| {
@@ -449,43 +414,11 @@ impl Flowstream {
                 queries: tel.counter("flowstream.query.total"),
                 query_errors: tel.counter("flowstream.query.errors_total"),
                 rotate_micros: tel.histogram("flowstream.rotate.micros", LATENCY_MICROS_BOUNDS),
-                stage_flush_micros: tel
-                    .histogram("flowstream.stage.flush.micros", LATENCY_MICROS_BOUNDS),
-                stage_rotate_micros: tel
-                    .histogram("flowstream.stage.rotate.micros", LATENCY_MICROS_BOUNDS),
-                stage_export_micros: tel
-                    .histogram("flowstream.stage.export.micros", LATENCY_MICROS_BOUNDS),
                 watermark: tel.gauge("flowstream.watermark_micros"),
-                spill_bytes_gauge: tel.gauge("flowstream.spill.buffered_bytes"),
-                spill_summaries_gauge: tel.gauge("flowstream.spill.buffered_summaries"),
-                spill_region_bytes: (0..self.regions.len())
-                    .map(|g| {
-                        tel.gauge(&labeled(
-                            "flowstream.spill.buffered_bytes",
-                            "region",
-                            &g.to_string(),
-                        ))
-                    })
-                    .collect(),
             }
         } else {
             StreamMetrics::default()
         };
-    }
-
-    /// Refreshes the spill-occupancy gauges the ops plane's health rules
-    /// watch: one labeled gauge per region plus the aggregate bytes and
-    /// summary count.
-    fn update_spill_gauges(&self) {
-        for (g, gauge) in self.metrics.spill_region_bytes.iter().enumerate() {
-            gauge.set(self.spill_bytes[g] as i64);
-        }
-        self.metrics
-            .spill_bytes_gauge
-            .set(self.spill_bytes.iter().sum::<u64>() as i64);
-        self.metrics
-            .spill_summaries_gauge
-            .set(self.spill.iter().map(Vec::len).sum::<usize>() as i64);
     }
 
     /// Builder-style [`Flowstream::set_telemetry`].
@@ -517,11 +450,13 @@ impl Flowstream {
     }
 
     /// Connects the deployment to a scoped-activity profiler: ingest,
-    /// rotation stages, and FlowQL query phases record into its activity
-    /// tree (see [`Profiler`]). Passing [`Profiler::disabled`] detaches
-    /// again at one-branch cost per activity site.
+    /// rotation (with the hierarchy pump's phases under
+    /// `flowstream.rotate`), and FlowQL query phases record into its
+    /// activity tree (see [`Profiler`]). Passing [`Profiler::disabled`]
+    /// detaches again at one-branch cost per activity site.
     pub fn set_profiler(&mut self, profiler: &Profiler) {
         self.profiler = profiler.clone();
+        self.hierarchy.set_profiler(profiler);
     }
 
     /// Builder-style [`Flowstream::set_profiler`].
@@ -580,12 +515,12 @@ impl Flowstream {
 
     /// Number of regions.
     pub fn regions(&self) -> usize {
-        self.regions.len()
+        self.routers.len()
     }
 
     /// Number of routers per region.
     pub fn routers_per_region(&self) -> usize {
-        self.topology.routers[0].len()
+        self.routers[0].len()
     }
 
     /// Ingests one flow record observed at `router` in `region` (①).
@@ -601,16 +536,16 @@ impl Flowstream {
     ///
     /// Panics if `region`/`router` are out of range.
     pub fn ingest(&mut self, region: usize, router: usize, rec: &FlowRecord) {
-        assert!(region < self.regions.len(), "region {region} out of range");
+        assert!(region < self.regions(), "region {region} out of range");
         assert!(
-            router < self.raw_pending[region].len(),
+            router < self.routers_per_region(),
             "router {router} out of range"
         );
         while rec.ts >= self.epoch_end {
             let at = self.epoch_end;
             self.rotate(at);
         }
-        if self.cold_active() {
+        if cold_active(&self.cold) {
             let wrec = WalRecord {
                 rr: self.rr as u64,
                 region: region as u32,
@@ -618,7 +553,7 @@ impl Flowstream {
                 record: *rec,
             };
             let mut logged = false;
-            self.cold_op(|t| {
+            cold_op(&mut self.cold, |t| {
                 t.wal_append(&wrec)?;
                 logged = true;
                 Ok(())
@@ -650,114 +585,86 @@ impl Flowstream {
             counter.inc();
         }
         self.raw_pending[region][router] += FlowRecord::WIRE_BYTES as u64;
-        let events = self.regions[region].ingest_flow(&self.streams[region][router], rec, rec.ts);
+        let events = self.hierarchy.ingest_flow(
+            region_id(region),
+            &self.streams[region][router],
+            rec,
+            rec.ts,
+        );
         self.trigger_log.extend(events);
     }
 
     /// Ingests a record, assigning it to a router round-robin — convenient
     /// when replaying a single generated trace across the deployment.
     pub fn ingest_round_robin(&mut self, rec: &FlowRecord) {
-        let total_routers = self.regions.len() * self.raw_pending[0].len();
-        let slot = self.rr % total_routers;
+        let routers = self.routers_per_region();
+        let slot = self.rr % (self.regions() * routers);
         self.rr += 1;
-        let region = slot / self.raw_pending[0].len();
-        let router = slot % self.raw_pending[0].len();
-        self.ingest(region, router, rec);
+        self.ingest(slot / routers, slot % routers, rec);
     }
 
     /// Closes the current epoch at `at`: flushes raw-transfer accounting,
-    /// rotates region stores (②), exports summaries to the NOC store (③)
-    /// and indexes Flowtrees into FlowDB (④).
+    /// then one pump of the store hierarchy rotates the region stores (②),
+    /// exports their summaries to the NOC store (③) and rotates the NOC
+    /// when due. The pump's observer indexes what reaches the NOC in
+    /// FlowDB (④) and journals every export, park and flush.
     ///
     /// Fault handling: a down router→region link defers the batch's byte
     /// accounting to the next rotation (records are already in the region
-    /// store, so nothing is lost); a failed region→NOC export is retried
-    /// with exponential backoff, then parked in the region's bounded spill
-    /// buffer and re-exported — and only then indexed in FlowDB — once the
-    /// uplink recovers.
+    /// store, so nothing is lost); a failed region→NOC export is retried,
+    /// parked and later flushed by the hierarchy (see
+    /// [`StoreHierarchy::pump`]), and indexed in FlowDB only once it
+    /// reaches the NOC.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fatal (non-transient) transfer error from a router to
+    /// its region store, or on a [`PumpError`](crate::PumpError) from a
+    /// region store to the NOC. [`Flowstream::new`] links every such pair,
+    /// so neither can occur.
     fn rotate(&mut self, at: Timestamp) {
         let rotate_timer = ScopedTimer::start(&self.metrics.rotate_micros);
         let _activity = self.profiler.activity("flowstream.rotate");
         // Open this epoch's segment before any frame can be produced.
-        self.cold_op(|t| t.begin_epoch(at));
+        cold_op(&mut self.cold, |t| t.begin_epoch(at));
         // ① account the raw router → region-store transfers of this epoch.
-        for g in 0..self.raw_pending.len() {
-            for r in 0..self.raw_pending[g].len() {
+        for (g, routers) in self.routers.iter().enumerate() {
+            let to = self.hierarchy.net_node(region_id(g));
+            for (r, &from) in routers.iter().enumerate() {
                 let pending = self.raw_pending[g][r];
                 if pending == 0 {
                     continue;
                 }
-                let from = self.topology.routers[g][r];
-                let to = self.topology.regions[g];
-                match self.topology.network.transfer(from, to, pending, at) {
+                match self.hierarchy.network_mut().transfer(from, to, pending, at) {
                     Ok(_) => self.raw_pending[g][r] = 0,
                     Err(e) if e.is_transient() => {
                         // Defer: the batch rides along at the next rotate.
-                        self.faults_seen.raw_deferrals += 1;
+                        self.raw_deferrals += 1;
                         self.tel.counter("flowstream.raw.deferred_total").inc();
                     }
                     Err(e) => panic!("router is connected to its region: {e}"),
                 }
             }
         }
-        // Recovery first: spilled summaries from earlier epochs, so the NOC
-        // absorbs late data before it rotates below.
-        let flush_timer = ScopedTimer::start(&self.metrics.stage_flush_micros);
-        let flush_activity = self.profiler.activity("flush_spill");
-        self.flush_spill(at);
-        drop(flush_activity);
-        flush_timer.stop();
-        // ② rotate every region store — sibling subtrees concurrently, per
-        // the parallelism knob; rotation touches only the store itself —
-        // then ③ + ④ export each region's summaries to the NOC in region
-        // order, exactly as the sequential loop did, so the observable
-        // outcome is identical for every worker count.
-        let workers = self.config.parallelism.worker_count(self.regions.len());
-        if self.tel.is_enabled() {
-            self.tel
-                .gauge("flowstream.rotate.workers")
-                .set(workers as i64);
-        }
-        let worker_micros = self
-            .tel
-            .histogram("flowstream.rotate.worker.micros", LATENCY_MICROS_BOUNDS);
-        let stage_timer = ScopedTimer::start(&self.metrics.stage_rotate_micros);
-        let regions_activity = self.profiler.activity("rotate_regions");
-        let rotated: Vec<Vec<StoredSummary>> = fan_out(
-            self.regions.iter_mut().collect(),
-            workers,
-            |store| store.rotate_epoch(at),
-            |micros| worker_micros.record(micros),
-        );
-        drop(regions_activity);
-        stage_timer.stop();
-        let export_timer = ScopedTimer::start(&self.metrics.stage_export_micros);
-        let export_activity = self.profiler.activity("export");
-        for (g, exported) in rotated.into_iter().enumerate() {
-            for summary in exported {
-                self.export_to_noc(g, summary, at);
-            }
-        }
-        if self.noc.epoch_due(at) {
-            let exported = self.noc.rotate_epoch(at);
-            for summary in exported {
-                if let Summary::Flowtree(tree) = &summary.summary {
-                    self.flowdb.insert("noc", summary.window, tree.clone());
-                }
-            }
-        }
-        drop(export_activity);
-        export_timer.stop();
-        if self.cold_active() {
+        // ②–④ Rotation happens exactly at each region's epoch end, so the
+        // pump's `epoch_due` filter picks every region.
+        debug_assert!((0..self.regions()).all(|g| self.region_store(g).epoch_due(at)));
+        let (flowdb, cold) = (&mut self.flowdb, &mut self.cold);
+        let stats = self
+            .hierarchy
+            .pump_with(at, &mut |event| observe(flowdb, cold, event))
+            .unwrap_or_else(|e| panic!("regions are connected to the noc: {e}"));
+        self.exports += stats;
+        if cold_active(&self.cold) {
             // The Meta frame is written last: replay reruns the epoch's
             // deliveries/parks and then snaps counters and cursors to the
             // authoritative end-of-epoch values. Sealing renames the
             // segment into place atomically; only then is the WAL — whose
             // records this epoch just made redundant — reset.
             let meta = Frame::Meta(self.snapshot_meta());
-            self.cold_frame(meta);
-            self.cold_op(|t| t.seal_epoch());
-            self.cold_op(|t| t.wal_reset());
+            cold_op(&mut self.cold, |t| t.append_frame(&meta));
+            cold_op(&mut self.cold, |t| t.seal_epoch());
+            cold_op(&mut self.cold, |t| t.wal_reset());
         }
         self.epoch_end = at + self.config.epoch_len;
         rotate_timer.stop();
@@ -771,18 +678,16 @@ impl Flowstream {
         EpochMeta {
             now: self.now,
             rr: self.rr as u64,
-            export_retries: self.faults_seen.export_retries,
-            spilled: self.faults_seen.spilled,
-            flushed: self.faults_seen.flushed,
-            dropped: self.faults_seen.dropped,
-            dropped_bytes: self.faults_seen.dropped_bytes,
-            raw_deferrals: self.faults_seen.raw_deferrals,
+            export_retries: self.exports.retries,
+            spilled: self.exports.spilled,
+            flushed: self.exports.flushed,
+            dropped: self.exports.dropped,
+            dropped_bytes: self.exports.dropped_bytes,
+            raw_deferrals: self.raw_deferrals,
             raw_pending: self.raw_pending.clone(),
-            region_stats: self
-                .regions
-                .iter()
-                .map(|store| {
-                    let s = store.stats();
+            region_stats: (0..self.regions())
+                .map(|g| {
+                    let s = self.region_store(g).stats();
                     RegionStatsSnapshot {
                         flows: s.flows,
                         scalars: s.scalars,
@@ -791,130 +696,6 @@ impl Flowstream {
                 })
                 .collect(),
         }
-    }
-
-    /// Exports one region summary to the NOC with bounded retry +
-    /// exponential backoff, spilling it on persistent transient failure.
-    fn export_to_noc(&mut self, g: usize, summary: StoredSummary, at: Timestamp) {
-        let bytes = summary.wire_size() as u64;
-        let (from, to) = (self.topology.regions[g], self.topology.noc);
-        let mut attempt_at = at;
-        let mut backoff = self.config.export_backoff;
-        for attempt in 0..=self.config.export_retries {
-            match self.topology.network.transfer(from, to, bytes, attempt_at) {
-                Ok(_) => {
-                    if self.cold_active() {
-                        self.cold_frame(Frame::Exported {
-                            region: g as u32,
-                            summary: summary.clone(),
-                        });
-                    }
-                    self.deliver_to_noc(g, summary, at);
-                    return;
-                }
-                Err(e) if e.is_transient() && attempt < self.config.export_retries => {
-                    self.faults_seen.export_retries += 1;
-                    self.tel.counter("flowstream.export.retries_total").inc();
-                    let salt = at
-                        .as_micros()
-                        .wrapping_mul(31)
-                        .wrapping_add((g as u64) << 40)
-                        .wrapping_add(bytes)
-                        .wrapping_add(u64::from(attempt));
-                    attempt_at +=
-                        backoff + jitter_micros(self.config.export_jitter_seed, salt, backoff);
-                    backoff = TimeDelta::from_micros(backoff.as_micros().saturating_mul(2));
-                }
-                Err(e) if e.is_transient() => {
-                    self.park(g, summary, at);
-                    return;
-                }
-                Err(e) => panic!("region is connected to the noc: {e}"),
-            }
-        }
-        unreachable!("loop always returns")
-    }
-
-    /// Indexes a delivered summary in FlowDB and merges it into the NOC
-    /// store.
-    fn deliver_to_noc(&mut self, g: usize, summary: StoredSummary, at: Timestamp) {
-        if let Summary::Flowtree(tree) = &summary.summary {
-            self.flowdb
-                .insert(format!("region-{g}"), summary.window, tree.clone());
-        }
-        if !absorb_summary(&mut self.noc, &summary) {
-            self.noc.import_summary(summary, at);
-        }
-    }
-
-    /// Parks a summary in region `g`'s spill buffer: merged into a
-    /// compatible parked summary where possible (P2), bounded with
-    /// oldest-first drops. FlowDB indexing is deferred until the flush —
-    /// the data has not reached the NOC yet.
-    fn park(&mut self, g: usize, summary: StoredSummary, at: Timestamp) {
-        // Journal the incoming summary pre-merge: replay reruns this very
-        // method, reproducing the merge/overflow decisions bit-for-bit.
-        if self.cold_active() {
-            self.cold_frame(Frame::Parked {
-                region: g as u32,
-                summary: summary.clone(),
-            });
-        }
-        let location = format!("region-{g}");
-        if let Some(existing) = self.spill[g]
-            .iter_mut()
-            .find(|s| summaries_mergeable(s, &summary))
-        {
-            let before = existing.wire_size() as u64;
-            existing.merge(&summary, &location, at);
-            self.spill_bytes[g] = self.spill_bytes[g] - before + existing.wire_size() as u64;
-        } else {
-            self.spill_bytes[g] += summary.wire_size() as u64;
-            self.spill[g].push(summary);
-        }
-        self.faults_seen.spilled += 1;
-        self.tel.counter("flowstream.spill.spilled_total").inc();
-        while self.spill_bytes[g] > self.config.spill_capacity_bytes && !self.spill[g].is_empty() {
-            let victim = self.spill[g].remove(0);
-            let bytes = victim.wire_size() as u64;
-            self.spill_bytes[g] -= bytes;
-            self.faults_seen.dropped += 1;
-            self.faults_seen.dropped_bytes += bytes;
-            self.tel.counter("flowstream.spill.dropped_total").inc();
-            self.tel
-                .counter("flowstream.spill.dropped_bytes_total")
-                .add(bytes);
-        }
-        self.update_spill_gauges();
-    }
-
-    /// Re-exports spilled summaries whose uplink has recovered; stops at
-    /// the first still-failing transfer per region.
-    fn flush_spill(&mut self, at: Timestamp) {
-        for g in 0..self.spill.len() {
-            let (from, to) = (self.topology.regions[g], self.topology.noc);
-            while let Some(summary) = self.spill[g].first().cloned() {
-                let bytes = summary.wire_size() as u64;
-                match self.topology.network.transfer(from, to, bytes, at) {
-                    Ok(_) => {
-                        self.spill[g].remove(0);
-                        self.spill_bytes[g] = self.spill_bytes[g].saturating_sub(bytes);
-                        self.faults_seen.flushed += 1;
-                        self.tel.counter("flowstream.spill.flushed_total").inc();
-                        if self.cold_active() {
-                            self.cold_frame(Frame::Flushed {
-                                region: g as u32,
-                                summary: summary.clone(),
-                            });
-                        }
-                        self.deliver_to_noc(g, summary, at);
-                    }
-                    Err(e) if e.is_transient() => break,
-                    Err(e) => panic!("region is connected to the noc: {e}"),
-                }
-            }
-        }
-        self.update_spill_gauges();
     }
 
     /// Flushes the current (partial) epoch so all ingested data is
@@ -973,11 +754,13 @@ impl Flowstream {
     /// epoch — delivered (`Exported`) or parked — also entered its summary
     /// store at rotation, so those rebuild the rotation first; then the
     /// frames rerun the epoch's deliveries and parks in their original
-    /// order; the closing `Meta` frame snaps counters and cursors to their
-    /// authoritative end-of-epoch values.
+    /// order through [`StoreHierarchy::replay`], indexing deliveries as the
+    /// live pump's observer did; the closing `Meta` frame snaps counters
+    /// and cursors to their authoritative end-of-epoch values.
     fn replay_bundle(&mut self, bundle: &EpochBundle) {
         let at = bundle.at;
-        let mut rotated: Vec<Vec<StoredSummary>> = vec![Vec::new(); self.regions.len()];
+        let regions = self.regions();
+        let mut rotated: Vec<Vec<StoredSummary>> = vec![Vec::new(); regions];
         for frame in &bundle.frames {
             if let Frame::Exported { region, summary } | Frame::Parked { region, summary } = frame {
                 if let Some(row) = rotated.get_mut(*region as usize) {
@@ -988,48 +771,36 @@ impl Flowstream {
         // Every region rotated this epoch (possibly exporting nothing) —
         // restore unconditionally so epoch starts and counts line up.
         for (g, summaries) in rotated.iter().enumerate() {
-            self.regions[g].restore_rotation(summaries, at);
+            self.hierarchy
+                .store_mut(region_id(g))
+                .restore_rotation(summaries, at);
         }
         for frame in &bundle.frames {
-            match frame {
-                Frame::Flushed { region, summary } => {
-                    let g = *region as usize;
-                    if g >= self.regions.len() {
-                        continue;
-                    }
-                    if let Some(front) =
-                        (!self.spill[g].is_empty()).then(|| self.spill[g].remove(0))
-                    {
-                        self.spill_bytes[g] =
-                            self.spill_bytes[g].saturating_sub(front.wire_size() as u64);
-                    }
-                    self.deliver_to_noc(g, summary.clone(), at);
+            let (outcome, region, summary) = match frame {
+                Frame::Exported { region, summary } => (EdgeOutcome::Exported, region, summary),
+                Frame::Parked { region, summary } => (EdgeOutcome::Parked, region, summary),
+                Frame::Flushed { region, summary } => (EdgeOutcome::Flushed, region, summary),
+                Frame::Meta(meta) => {
+                    self.apply_meta(meta);
+                    continue;
                 }
-                Frame::Exported { region, summary } => {
-                    let g = *region as usize;
-                    if g < self.regions.len() {
-                        self.deliver_to_noc(g, summary.clone(), at);
-                    }
-                }
-                Frame::Parked { region, summary } => {
-                    let g = *region as usize;
-                    if g < self.regions.len() {
-                        self.park(g, summary.clone(), at);
-                    }
-                }
-                Frame::Meta(meta) => self.apply_meta(meta),
+            };
+            let g = *region as usize;
+            if g < regions {
+                let event = PumpEvent::Edge(outcome, region_id(g), summary);
+                // No tier is attached yet, so this indexes without journaling.
+                observe(&mut self.flowdb, &mut self.cold, event);
+                self.hierarchy.replay(outcome, region_id(g), summary, at);
             }
         }
-        if self.noc.epoch_due(at) {
-            let exported = self.noc.rotate_epoch(at);
-            for summary in exported {
-                if let Summary::Flowtree(tree) = &summary.summary {
-                    self.flowdb.insert("noc", summary.window, tree.clone());
-                }
+        let noc = self.hierarchy.store_mut(NOC);
+        if noc.epoch_due(at) {
+            for summary in noc.rotate_epoch(at) {
+                let event = PumpEvent::RootRotated(NOC, &summary);
+                observe(&mut self.flowdb, &mut self.cold, event);
             }
         }
         self.epoch_end = at + self.config.epoch_len;
-        self.update_spill_gauges();
     }
 
     /// Applies a journaled end-of-epoch snapshot (see
@@ -1037,12 +808,12 @@ impl Flowstream {
     fn apply_meta(&mut self, meta: &EpochMeta) {
         self.now = meta.now;
         self.rr = meta.rr as usize;
-        self.faults_seen.export_retries = meta.export_retries;
-        self.faults_seen.spilled = meta.spilled;
-        self.faults_seen.flushed = meta.flushed;
-        self.faults_seen.dropped = meta.dropped;
-        self.faults_seen.dropped_bytes = meta.dropped_bytes;
-        self.faults_seen.raw_deferrals = meta.raw_deferrals;
+        self.exports.retries = meta.export_retries;
+        self.exports.spilled = meta.spilled;
+        self.exports.flushed = meta.flushed;
+        self.exports.dropped = meta.dropped;
+        self.exports.dropped_bytes = meta.dropped_bytes;
+        self.raw_deferrals = meta.raw_deferrals;
         for (g, row) in meta.raw_pending.iter().enumerate() {
             let Some(mine) = self.raw_pending.get_mut(g) else {
                 break;
@@ -1053,11 +824,12 @@ impl Flowstream {
                 }
             }
         }
-        for (g, snap) in meta.region_stats.iter().enumerate() {
-            if g >= self.regions.len() {
-                break;
-            }
-            self.regions[g].restore_ingest_stats(snap.flows, snap.scalars, snap.raw_bytes);
+        for (g, snap) in meta.region_stats.iter().enumerate().take(self.regions()) {
+            self.hierarchy.store_mut(region_id(g)).restore_ingest_stats(
+                snap.flows,
+                snap.scalars,
+                snap.raw_bytes,
+            );
         }
     }
 
@@ -1070,12 +842,12 @@ impl Flowstream {
     fn replay_wal_record(&mut self, wrec: &WalRecord) {
         let region = wrec.region as usize;
         let router = wrec.router as usize;
-        if region >= self.regions.len() || router >= self.raw_pending[region].len() {
+        if region >= self.regions() || router >= self.routers_per_region() {
             return;
         }
         let rec = wrec.record;
         let copy = *wrec;
-        self.cold_op(|t| t.wal_append(&copy));
+        cold_op(&mut self.cold, |t| t.wal_append(&copy));
         self.apply_ingest(region, router, &rec);
         self.rr = wrec.rr as usize;
     }
@@ -1116,24 +888,20 @@ impl Flowstream {
     /// without faults.
     pub fn unreachable_locations(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        if self.topology.network.faults().is_none() {
+        let network = self.network();
+        if network.faults().is_none() {
             return out;
         }
-        let cloud = self.topology.cloud;
-        for (g, &region) in self.topology.regions.iter().enumerate() {
-            if self
-                .topology
-                .network
-                .route_at(cloud, region, self.now)
+        for g in 0..self.regions() {
+            if network
+                .route_at(self.cloud, self.region_node(g), self.now)
                 .is_none()
             {
                 out.insert(format!("region-{g}"));
             }
         }
-        if self
-            .topology
-            .network
-            .route_at(cloud, self.topology.noc, self.now)
+        if network
+            .route_at(self.cloud, self.noc_node(), self.now)
             .is_none()
         {
             out.insert("noc".to_owned());
@@ -1199,9 +967,7 @@ impl Flowstream {
                         .collect(),
                 }),
                 DegradationPolicy::Partial => {
-                    self.faults_seen
-                        .partial_queries
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    self.partial_queries.fetch_add(1, Ordering::Relaxed);
                     self.tel.counter("flowstream.query.partial_total").inc();
                     Ok(partial)
                 }
@@ -1250,27 +1016,24 @@ impl Flowstream {
     /// Aggregated operating statistics across the deployment.
     pub fn stats(&self) -> FlowstreamStats {
         let mut stats = FlowstreamStats::default();
-        for store in &self.regions {
-            let s = store.stats();
+        for g in 0..self.regions() {
+            let s = self.region_store(g).stats();
             stats.flows += s.flows;
             stats.raw_bytes += s.raw_bytes;
             stats.region_epochs += s.epochs;
             stats.exported_bytes += s.exported_bytes;
         }
-        stats.noc_epochs = self.noc.stats().epochs;
+        stats.noc_epochs = self.noc_store().stats().epochs;
         stats.flowdb_summaries = self.flowdb.len();
         stats.trigger_events = self.trigger_log.len();
-        stats.network_bytes = self.topology.network.total_bytes();
-        stats.export_retries = self.faults_seen.export_retries;
-        stats.spilled_summaries = self.faults_seen.spilled;
-        stats.flushed_summaries = self.faults_seen.flushed;
-        stats.dropped_summaries = self.faults_seen.dropped;
-        stats.dropped_bytes = self.faults_seen.dropped_bytes;
-        stats.raw_deferrals = self.faults_seen.raw_deferrals;
-        stats.partial_queries = self
-            .faults_seen
-            .partial_queries
-            .load(std::sync::atomic::Ordering::Relaxed);
+        stats.network_bytes = self.network().total_bytes();
+        stats.export_retries = self.exports.retries;
+        stats.spilled_summaries = self.exports.spilled;
+        stats.flushed_summaries = self.exports.flushed;
+        stats.dropped_summaries = self.exports.dropped;
+        stats.dropped_bytes = self.exports.dropped_bytes;
+        stats.raw_deferrals = self.raw_deferrals;
+        stats.partial_queries = self.partial_queries.load(Ordering::Relaxed);
         stats
     }
 
@@ -1297,53 +1060,106 @@ impl Flowstream {
 
     /// The simulated network with its transfer accounting.
     pub fn network(&self) -> &Network {
-        &self.topology.network
+        self.hierarchy.network()
     }
 
     /// Mutable access to the simulated network — install a
     /// [`FaultPlan`](megastream_netsim::FaultPlan) here to script outages.
     pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.topology.network
+        self.hierarchy.network_mut()
     }
 
     /// The network node hosting `region`'s data store.
     pub fn region_node(&self, region: usize) -> NodeId {
-        self.topology.regions[region]
+        self.hierarchy.net_node(region_id(region))
     }
 
     /// The network node hosting the NOC store.
     pub fn noc_node(&self) -> NodeId {
-        self.topology.noc
+        self.hierarchy.net_node(NOC)
     }
 
     /// The cloud node — the vantage point queries fan out from.
     pub fn cloud_node(&self) -> NodeId {
-        self.topology.cloud
+        self.cloud
     }
 
     /// Summaries currently parked in `region`'s spill buffer.
     pub fn spilled(&self, region: usize) -> usize {
-        self.spill[region].len()
+        self.hierarchy.spilled(region_id(region))
     }
 
     /// Read access to a region's data store.
     pub fn region_store(&self, region: usize) -> &DataStore {
-        &self.regions[region]
+        self.hierarchy.store(region_id(region))
     }
 
     /// Mutable access to a region's data store (e.g. to install triggers).
     pub fn region_store_mut(&mut self, region: usize) -> &mut DataStore {
-        &mut self.regions[region]
+        self.hierarchy.store_mut(region_id(region))
     }
 
     /// The network-wide (NOC) store.
     pub fn noc_store(&self) -> &DataStore {
-        &self.noc
+        self.hierarchy.store(NOC)
     }
 
     /// Trigger firings collected during ingest.
     pub fn trigger_log(&self) -> &[TriggerEvent] {
         &self.trigger_log
+    }
+}
+
+/// Whether a cold tier is attached and still accepting writes.
+fn cold_active(cold: &Option<ColdTier>) -> bool {
+    cold.as_ref().is_some_and(|t| !t.is_dead())
+}
+
+/// Runs one cold-tier operation, declaring the tier dead on any real
+/// failure so the data plane degrades to in-memory instead of erroring.
+/// No-op when no live tier is attached.
+fn cold_op(
+    cold: &mut Option<ColdTier>,
+    op: impl FnOnce(&mut ColdTier) -> Result<(), SegmentError>,
+) {
+    let Some(tier) = cold.as_mut().filter(|t| !t.is_dead()) else {
+        return;
+    };
+    if let Err(e) = op(tier) {
+        if !matches!(e, SegmentError::TierDead) {
+            tier.mark_dead(e);
+        }
+    }
+}
+
+/// The pump observer. It journals each edge outcome into the open epoch
+/// segment as the frame of the same name, tagged with the region index,
+/// and indexes each Flowtree that reached the NOC in FlowDB: region
+/// deliveries under `region-<g>`, the NOC's own epochs under `noc`. A
+/// parked summary is indexed only at its flush, because data that has not
+/// reached the NOC must not be queryable there.
+fn observe(flowdb: &mut FlowDb, cold: &mut Option<ColdTier>, event: PumpEvent<'_>) {
+    let (location, summary) = match event {
+        PumpEvent::RootRotated(_, summary) => ("noc".to_owned(), summary),
+        PumpEvent::Edge(outcome, store, summary) => {
+            let region = store.0 - 1;
+            if cold_active(cold) {
+                let (region, summary) = (region as u32, summary.clone());
+                let frame = match outcome {
+                    EdgeOutcome::Exported => Frame::Exported { region, summary },
+                    EdgeOutcome::Parked => Frame::Parked { region, summary },
+                    EdgeOutcome::Flushed => Frame::Flushed { region, summary },
+                };
+                cold_op(cold, |t| t.append_frame(&frame));
+            }
+            if outcome == EdgeOutcome::Parked {
+                return;
+            }
+            (format!("region-{region}"), summary)
+        }
+    };
+    if let Summary::Flowtree(tree) = &summary.summary {
+        flowdb.insert(location, summary.window, tree.clone());
     }
 }
 

@@ -6,6 +6,12 @@
 //! stores to nodes of a [`Network`], rotates their epochs, and pushes each
 //! epoch's summaries to the parent store — accounting every byte that
 //! crosses a link, which is what experiment E3 measures.
+//!
+//! Every edge runs the one export path of the workspace: retry with
+//! backoff, park in a spill buffer, flush on recovery.
+//! [`StoreHierarchy::pump_with`] reports what happened to each summary,
+//! and [`StoreHierarchy::replay`] re-applies those reports after a crash.
+//! Flowstream (Fig. 5) is such a hierarchy, rooted at its NOC store.
 
 use megastream_datastore::aggregator::AggregatorInstance;
 use megastream_datastore::store::{DataStore, StreamId};
@@ -17,16 +23,16 @@ use megastream_flowdb::par::fan_out;
 use megastream_flowdb::Parallelism;
 use megastream_netsim::topology::{Network, NodeId, TransferError};
 use megastream_primitives::aggregator::Combinable;
-use megastream_storage::{ColdTier, Frame, SegmentError};
 use megastream_telemetry::{
     labeled, Profiler, Telemetry, TraceSpan, Tracer, LATENCY_MICROS_BOUNDS,
 };
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Identifier of a store within a hierarchy.
+/// Identifier of a store within a hierarchy: its position in insertion
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HierarchyId(usize);
+pub struct HierarchyId(pub(crate) usize);
 
 #[derive(Debug)]
 struct Entry {
@@ -71,7 +77,7 @@ impl Default for PumpPolicy {
 /// Deterministic backoff jitter (SplitMix64 over `seed ^ salt`): a delta in
 /// `[0, backoff/2)`, so retries from different edges decorrelate while any
 /// fixed seed reproduces the exact schedule.
-pub(crate) fn jitter_micros(seed: u64, salt: u64, backoff: TimeDelta) -> TimeDelta {
+fn jitter_micros(seed: u64, salt: u64, backoff: TimeDelta) -> TimeDelta {
     let mut z = (seed ^ salt).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -154,6 +160,31 @@ impl std::ops::AddAssign for ExportStats {
     }
 }
 
+/// What one edge of the hierarchy did with a summary during a pump.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeOutcome {
+    /// A freshly rotated summary reached the parent.
+    Exported,
+    /// A freshly rotated summary still failed after its retries and
+    /// entered the store's spill buffer.
+    Parked,
+    /// The head of the spill buffer reached the parent after the edge
+    /// recovered.
+    Flushed,
+}
+
+/// One summary movement that [`StoreHierarchy::pump_with`] reports to its
+/// observer, in the order the pump performs them.
+#[derive(Debug, Clone, Copy)]
+pub enum PumpEvent<'a> {
+    /// The uplink of the store handled the summary as the outcome says. A
+    /// parked summary is reported before it merges into the spill buffer.
+    Edge(EdgeOutcome, HierarchyId, &'a StoredSummary),
+    /// Rotating a root store produced the summary. A root has no parent,
+    /// so the summary stays in the root's own summary store.
+    RootRotated(HierarchyId, &'a StoredSummary),
+}
+
 /// A tree of data stores bound to network nodes.
 #[derive(Debug)]
 pub struct StoreHierarchy {
@@ -164,11 +195,6 @@ pub struct StoreHierarchy {
     profiler: Profiler,
     policy: PumpPolicy,
     par: Parallelism,
-    /// Optional durable audit trail: every delivered summary of a pump is
-    /// journaled as one epoch segment (write-through, sealed per pump).
-    cold: Option<ColdTier>,
-    /// Frames accumulated during the current pump, flushed at its end.
-    pump_audit: Vec<Frame>,
 }
 
 impl StoreHierarchy {
@@ -182,53 +208,6 @@ impl StoreHierarchy {
             profiler: Profiler::disabled(),
             policy: PumpPolicy::default(),
             par: Parallelism::default(),
-            cold: None,
-            pump_audit: Vec::new(),
-        }
-    }
-
-    /// Attaches a durable cold tier as a write-through audit trail: each
-    /// [`StoreHierarchy::pump`] that delivers summaries seals one epoch
-    /// segment recording them (exports as `Exported` frames, recovered
-    /// spills as `Flushed`), verifiable offline with `mega-fsck`. A failed
-    /// tier is marked dead and the pump continues in memory.
-    pub fn attach_cold_tier(&mut self, tier: ColdTier) {
-        self.cold = Some(tier);
-    }
-
-    /// The attached audit tier, if any.
-    pub fn cold_tier(&self) -> Option<&ColdTier> {
-        self.cold.as_ref()
-    }
-
-    /// Detaches and returns the audit tier.
-    pub fn detach_cold_tier(&mut self) -> Option<ColdTier> {
-        self.cold.take()
-    }
-
-    /// Seals the frames collected during one pump into an epoch segment on
-    /// the audit tier. Any failure kills the tier (first error retained via
-    /// [`ColdTier::first_error`]); the data plane is never disturbed.
-    fn write_pump_audit(&mut self, now: Timestamp) {
-        let frames = std::mem::take(&mut self.pump_audit);
-        let Some(tier) = self.cold.as_mut() else {
-            return;
-        };
-        if frames.is_empty() || tier.is_dead() {
-            return;
-        }
-        let result = (|| -> Result<(), SegmentError> {
-            tier.begin_epoch(now)?;
-            for frame in &frames {
-                tier.append_frame(frame)?;
-            }
-            tier.seal_epoch()?;
-            tier.wal_reset()
-        })();
-        if let Err(e) = result {
-            if !matches!(e, SegmentError::TierDead) {
-                tier.mark_dead(e);
-            }
         }
     }
 
@@ -272,6 +251,10 @@ impl StoreHierarchy {
     /// export volume and latency under `hierarchy.*{level=<depth>}` names.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
+        // Registered up front so the ops plane's export rules read zero on
+        // a run that never retries or spills, not a missing signal.
+        tel.counter("hierarchy.export.retries_total");
+        tel.gauge("hierarchy.spill.buffered_bytes");
         for entry in &mut self.entries {
             entry.store.set_telemetry(tel);
         }
@@ -439,6 +422,23 @@ impl StoreHierarchy {
     /// those mean the hierarchy is miswired, not that the network is
     /// having a bad day.
     pub fn pump(&mut self, now: Timestamp) -> Result<ExportStats, PumpError> {
+        self.pump_with(now, &mut |_| {})
+    }
+
+    /// [`StoreHierarchy::pump`], reporting every summary the pump moves to
+    /// `observer` as it happens: each export, park and flush as a
+    /// [`PumpEvent::Edge`], and each summary a root's rotation produces as
+    /// a [`PumpEvent::RootRotated`]. Handing the recorded edge events to
+    /// [`StoreHierarchy::replay`] rebuilds the state the pump left.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`StoreHierarchy::pump`].
+    pub fn pump_with(
+        &mut self,
+        now: Timestamp,
+        observer: &mut dyn FnMut(PumpEvent<'_>),
+    ) -> Result<ExportStats, PumpError> {
         let pump_span = self.tel.span("hierarchy.pump");
         let _activity = self.profiler.activity("hierarchy.pump");
         let trace_root = self.tracer.root("hierarchy.pump");
@@ -471,7 +471,7 @@ impl StoreHierarchy {
             let flush_activity = self.profiler.activity("flush_spill");
             for &i in &level {
                 if !self.entries[i].spill.is_empty() {
-                    self.flush_spill(i, now, &trace_root, &mut stats)?;
+                    self.flush_spill(i, now, &trace_root, &mut stats, observer)?;
                 }
             }
             drop(flush_activity);
@@ -488,11 +488,10 @@ impl StoreHierarchy {
             stats.rotations += due.len() as u64;
             let export_activity = self.profiler.activity("export_level");
             for (i, exported) in due.into_iter().zip(rotated) {
-                self.export_rotated(i, exported, now, &trace_root, &mut stats)?;
+                self.export_rotated(i, exported, now, &trace_root, &mut stats, observer)?;
             }
             drop(export_activity);
         }
-        self.write_pump_audit(now);
         pump_span.finish();
         Ok(stats)
     }
@@ -527,7 +526,8 @@ impl StoreHierarchy {
     }
 
     /// Phase 3 of [`StoreHierarchy::pump`]: exports one rotated store's
-    /// summaries to its parent with the retry/backoff/spill semantics.
+    /// summaries to its parent with the retry/backoff/spill semantics. A
+    /// root has no parent: its summaries only go to the observer.
     fn export_rotated(
         &mut self,
         i: usize,
@@ -535,13 +535,21 @@ impl StoreHierarchy {
         now: Timestamp,
         trace_root: &TraceSpan,
         stats: &mut ExportStats,
+        observer: &mut dyn FnMut(PumpEvent<'_>),
     ) -> Result<(), PumpError> {
+        let Some(parent) = self.entries[i].parent else {
+            for summary in &exported {
+                observer(PumpEvent::RootRotated(HierarchyId(i), summary));
+            }
+            return Ok(());
+        };
         let depth = self.entries[i].depth;
-        let level_span = if self.tel.is_enabled() {
-            Some(
-                self.tel
-                    .span(&labeled("hierarchy.export", "level", &depth.to_string())),
-            )
+        let level_timer = if self.tel.is_enabled() {
+            Some(self.tel.timer(&labeled(
+                "hierarchy.export.micros",
+                "level",
+                &depth.to_string(),
+            )))
         } else {
             None
         };
@@ -550,9 +558,6 @@ impl StoreHierarchy {
             export_span.annotate("store", self.entries[i].store.name());
             export_span.annotate("level", &depth.to_string());
         }
-        let Some(parent) = self.entries[i].parent else {
-            return Ok(());
-        };
         // The export's context stamps the parent-side re-aggregation,
         // linking the two levels into one lineage tree.
         let mut absorb_span = match export_span.context() {
@@ -575,17 +580,15 @@ impl StoreHierarchy {
                     level_bytes += bytes;
                     export_span.add_bytes(bytes);
                     export_span.add_records(1);
-                    if self.cold.is_some() {
-                        self.pump_audit.push(Frame::Exported {
-                            region: i as u32,
-                            summary: summary.clone(),
-                        });
-                    }
-                    if absorb(&mut self.entries[parent].store, &summary) {
+                    observer(PumpEvent::Edge(
+                        EdgeOutcome::Exported,
+                        HierarchyId(i),
+                        &summary,
+                    ));
+                    if self.deliver(parent, summary, now) {
                         stats.absorbed += 1;
                         absorbed += 1;
                     } else {
-                        self.entries[parent].store.import_summary(summary, now);
                         imported += 1;
                     }
                     absorb_span.add_bytes(bytes);
@@ -595,6 +598,11 @@ impl StoreHierarchy {
                     if export_span.is_recording() {
                         export_span.annotate("fault", &err.to_string());
                     }
+                    observer(PumpEvent::Edge(
+                        EdgeOutcome::Parked,
+                        HierarchyId(i),
+                        &summary,
+                    ));
                     self.park(i, summary, now, stats);
                     spilled += 1;
                 }
@@ -610,7 +618,7 @@ impl StoreHierarchy {
             absorb_span.annotate("absorbed", &absorbed.to_string());
             absorb_span.annotate("imported", &imported.to_string());
         }
-        if let Some(span) = level_span {
+        if let Some(timer) = level_timer {
             self.tel
                 .counter(&labeled(
                     "hierarchy.export.bytes_total",
@@ -618,9 +626,21 @@ impl StoreHierarchy {
                     &depth.to_string(),
                 ))
                 .add(level_bytes);
-            span.finish();
+            timer.stop();
         }
         Ok(())
+    }
+
+    /// Hands a summary that reached store `parent` to it: absorbed into a
+    /// compatible live aggregator, else imported into its summary store.
+    /// Returns whether it was absorbed.
+    fn deliver(&mut self, parent: usize, summary: StoredSummary, now: Timestamp) -> bool {
+        let store = &mut self.entries[parent].store;
+        let absorbed = absorb(store, &summary);
+        if !absorbed {
+            store.import_summary(summary, now);
+        }
+        absorbed
     }
 
     /// One transfer with bounded retry + exponential backoff. Each retry
@@ -668,7 +688,7 @@ impl StoreHierarchy {
         if let Some(existing) = entry
             .spill
             .iter_mut()
-            .find(|s| spill_mergeable(s, &summary))
+            .find(|s| summaries_mergeable(s, &summary))
         {
             let before = existing.wire_size() as u64;
             existing.merge(&summary, &location, now);
@@ -727,6 +747,7 @@ impl StoreHierarchy {
         now: Timestamp,
         trace_root: &TraceSpan,
         stats: &mut ExportStats,
+        observer: &mut dyn FnMut(PumpEvent<'_>),
     ) -> Result<(), PumpError> {
         let Some(parent) = self.entries[i].parent else {
             // A root cannot export; anything spilled here is unreachable.
@@ -738,11 +759,11 @@ impl StoreHierarchy {
             flush_span.annotate("store", self.entries[i].store.name());
             flush_span.annotate("pending", &self.entries[i].spill.len().to_string());
         }
-        while let Some(summary) = self.entries[i].spill.first().cloned() {
-            let bytes = summary.wire_size() as u64;
+        while let Some(head) = self.entries[i].spill.first() {
+            let bytes = head.wire_size() as u64;
             match self.network.transfer(from, to, bytes, now) {
                 Ok(_) => {
-                    self.entries[i].spill.remove(0);
+                    let summary = self.entries[i].spill.remove(0);
                     self.entries[i].spill_bytes = self.entries[i].spill_bytes.saturating_sub(bytes);
                     stats.flushed += 1;
                     stats.exported_summaries += 1;
@@ -750,16 +771,13 @@ impl StoreHierarchy {
                     flush_span.add_bytes(bytes);
                     flush_span.add_records(1);
                     self.tel.counter("hierarchy.spill.flushed_total").inc();
-                    if self.cold.is_some() {
-                        self.pump_audit.push(Frame::Flushed {
-                            region: i as u32,
-                            summary: summary.clone(),
-                        });
-                    }
-                    if absorb(&mut self.entries[parent].store, &summary) {
+                    observer(PumpEvent::Edge(
+                        EdgeOutcome::Flushed,
+                        HierarchyId(i),
+                        &summary,
+                    ));
+                    if self.deliver(parent, summary, now) {
                         stats.absorbed += 1;
-                    } else {
-                        self.entries[parent].store.import_summary(summary, now);
                     }
                 }
                 Err(err) if err.is_transient() => {
@@ -776,16 +794,48 @@ impl StoreHierarchy {
         self.update_spill_gauges(i);
         Ok(())
     }
+
+    /// Re-applies one edge outcome that a [`pump_with`](Self::pump_with)
+    /// observer recorded, without touching the network; crash recovery
+    /// replays a journaled pump this way. An export is delivered to the
+    /// parent (absorbed, else imported), a park re-runs the spill merge
+    /// and overflow drops, and a flush pops the spill head and delivers
+    /// `summary`. The caller restores the rotation that produced exported
+    /// and parked summaries first ([`DataStore::restore_rotation`]), and
+    /// rotates a due root afterwards.
+    pub fn replay(
+        &mut self,
+        outcome: EdgeOutcome,
+        store: HierarchyId,
+        summary: &StoredSummary,
+        now: Timestamp,
+    ) {
+        let i = store.0;
+        let Some(parent) = self.entries[i].parent else {
+            return;
+        };
+        match outcome {
+            EdgeOutcome::Exported => {
+                self.deliver(parent, summary.clone(), now);
+            }
+            EdgeOutcome::Parked => self.park(i, summary.clone(), now, &mut ExportStats::default()),
+            EdgeOutcome::Flushed => {
+                let entry = &mut self.entries[i];
+                if !entry.spill.is_empty() {
+                    let head = entry.spill.remove(0);
+                    entry.spill_bytes = entry.spill_bytes.saturating_sub(head.wire_size() as u64);
+                }
+                self.update_spill_gauges(i);
+                self.deliver(parent, summary.clone(), now);
+            }
+        }
+    }
 }
 
 /// Whether two stored summaries can merge without panicking: same kind,
 /// and for Flowtrees / exact tables, matching configuration. Spill buffers
 /// use this to coalesce parked summaries (P2) while an edge is down.
 pub fn summaries_mergeable(a: &StoredSummary, b: &StoredSummary) -> bool {
-    spill_mergeable(a, b)
-}
-
-fn spill_mergeable(a: &StoredSummary, b: &StoredSummary) -> bool {
     match (&a.summary, &b.summary) {
         (Summary::Flowtree(x), Summary::Flowtree(y)) => x.config().compatible_with(y.config()),
         (Summary::Exact(x), Summary::Exact(y)) => {
@@ -799,10 +849,6 @@ fn spill_mergeable(a: &StoredSummary, b: &StoredSummary) -> bool {
 /// Flowtrees merge with Flowtrees of the same configuration, Space-Saving
 /// sketches and exact tables with their counterparts. Returns whether the
 /// summary was absorbed (callers typically import it otherwise).
-pub fn absorb_summary(store: &mut DataStore, summary: &StoredSummary) -> bool {
-    absorb(store, summary)
-}
-
 fn absorb(store: &mut DataStore, summary: &StoredSummary) -> bool {
     for id in store.aggregator_ids() {
         let Some(inst) = store.aggregator_mut(id) else {
@@ -1080,32 +1126,113 @@ mod tests {
         );
     }
 
-    /// A pump with a cold tier attached seals one verifiable epoch segment
-    /// journaling every delivered summary.
+    /// The observer sees every edge outcome in pump order, and replaying
+    /// the recorded outcomes into a fresh hierarchy — restoring the
+    /// children's rotations first and rotating a due root after, as crash
+    /// recovery does — reproduces the live run after every pump.
     #[test]
-    fn pump_audit_seals_verifiable_epochs() {
-        let dir =
-            std::env::temp_dir().join(format!("megastream-pump-audit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn observed_pump_events_replay_to_the_live_state() {
+        use megastream_netsim::FaultPlan;
+        let (mut h, root, a, b) = two_level();
+        let (mut copy, ..) = two_level();
+        let mut plan = FaultPlan::seeded(42);
+        plan.link_down(
+            h.net_node(a),
+            h.net_node(root),
+            Timestamp::from_secs(50),
+            Timestamp::from_secs(100),
+        );
+        h.network_mut().install_faults(plan);
+        let expected = [
+            vec![
+                (Some(EdgeOutcome::Parked), a),
+                (Some(EdgeOutcome::Exported), b),
+            ],
+            vec![
+                (Some(EdgeOutcome::Flushed), a),
+                (Some(EdgeOutcome::Exported), a),
+                (Some(EdgeOutcome::Exported), b),
+                (None, root),
+            ],
+        ];
+        for (secs, want) in [60u64, 120].into_iter().zip(expected) {
+            for (id, src) in [(a, "10.0.0.1"), (b, "10.1.0.1")] {
+                h.ingest_flow(
+                    id,
+                    &"r".into(),
+                    &rec(src, 5),
+                    Timestamp::from_secs(secs - 50),
+                );
+            }
+            let now = Timestamp::from_secs(secs);
+            let mut events = Vec::new();
+            h.pump_with(now, &mut |event| {
+                events.push(match event {
+                    PumpEvent::Edge(outcome, id, s) => (Some(outcome), id, s.clone()),
+                    PumpEvent::RootRotated(id, s) => (None, id, s.clone()),
+                });
+            })
+            .unwrap();
+            let seen: Vec<_> = events.iter().map(|(o, id, _)| (*o, *id)).collect();
+            assert_eq!(seen, want, "pump at {secs} s");
+
+            for child in [a, b] {
+                let rotated: Vec<StoredSummary> = events
+                    .iter()
+                    .filter(|(o, id, _)| {
+                        *id == child
+                            && matches!(o, Some(EdgeOutcome::Exported | EdgeOutcome::Parked))
+                    })
+                    .map(|(_, _, s)| s.clone())
+                    .collect();
+                copy.store_mut(child).restore_rotation(&rotated, now);
+            }
+            for (outcome, id, summary) in &events {
+                if let Some(outcome) = outcome {
+                    copy.replay(*outcome, *id, summary, now);
+                }
+            }
+            if copy.store(root).epoch_due(now) {
+                copy.store_mut(root).rotate_epoch(now);
+            }
+            assert_eq!(
+                copy.store(root).accounted_bytes(),
+                h.store(root).accounted_bytes()
+            );
+            assert_eq!(
+                copy.store(root).live_flow_score(&FlowKey::root()),
+                h.store(root).live_flow_score(&FlowKey::root())
+            );
+            for id in [root, a, b] {
+                assert_eq!(copy.spilled(id), h.spilled(id));
+            }
+        }
+    }
+
+    /// Each level's export time is one labeled histogram family, and a
+    /// root rotation — which exports nothing — records no export.
+    #[test]
+    fn export_timer_is_one_family_labeled_by_level() {
+        let tel = Telemetry::new();
         let (mut h, _root, a, b) = two_level();
-        let tier = ColdTier::create(
-            &dir,
-            megastream_storage::SyncPolicy::OnSeal,
-            Telemetry::disabled(),
-        )
-        .unwrap();
-        h.attach_cold_tier(tier);
+        h.set_telemetry(&tel);
         for (id, src) in [(a, "10.0.0.1"), (b, "10.1.0.1")] {
             h.ingest_flow(id, &"r".into(), &rec(src, 5), Timestamp::from_secs(10));
         }
-        let stats = h.pump(Timestamp::from_secs(60)).unwrap();
-        assert_eq!(stats.exported_summaries, 2);
-        assert!(!h.cold_tier().unwrap().is_dead());
-        let report = megastream_storage::fsck::fsck(&dir, false).unwrap();
-        assert!(report.is_clean(), "{:?}", report.problems);
-        assert_eq!(report.segments.len(), 1, "one pump → one sealed epoch");
-        assert_eq!(report.clean_frames, 2, "both exports journaled");
-        let _ = std::fs::remove_dir_all(&dir);
+        let stats = h.pump(Timestamp::from_secs(120)).unwrap();
+        assert_eq!(stats.rotations, 3, "both children and the root rotate");
+        let snap = tel.snapshot();
+        let prom = snap.render_prometheus();
+        assert!(
+            prom.contains("hierarchy_export_micros_bucket{level=\"1\","),
+            "{prom}"
+        );
+        assert!(!prom.contains("level=\"0\""), "{prom}");
+        for (name, _) in &snap.histograms {
+            if let Some(close) = name.find('}') {
+                assert_eq!(close + 1, name.len(), "text after the labels: {name}");
+            }
+        }
     }
 
     /// The pump's retry backoff carries deterministic seeded jitter: the

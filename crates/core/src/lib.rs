@@ -27,9 +27,12 @@
 //!   the paper motivates (predictive maintenance, DDoS investigation,
 //!   traffic matrices),
 //! * [`hierarchy`] — a hierarchy of data stores bound to a simulated
-//!   network, with epoch-driven upward summary export (Fig. 2b),
+//!   network, with epoch-driven upward summary export (Fig. 2b): the one
+//!   export path, with retry, spill and flush per edge, an observer of
+//!   every summary it moves, and crash replay of what it observed,
 //! * [`flowstream`] — the complete Flowstream system of Fig. 5
-//!   (routers → Flowtree data stores → FlowDB → FlowQL),
+//!   (routers → Flowtree data stores → FlowDB → FlowQL), built on a
+//!   hierarchy rooted at the NOC store,
 //! * [`ops`] — the ops plane: time-series sampling, a rule-driven health
 //!   model with hysteresis, and dashboard/JSON/Prometheus exposition.
 //!

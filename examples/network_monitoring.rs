@@ -16,7 +16,7 @@
 //! cargo run --example network_monitoring -- --profile   # + flamegraph profile
 //! ```
 //!
-//! `--chaos --health` shows the ops plane reacting live: the flowstream
+//! `--chaos --health` shows the ops plane reacting live: the hierarchy
 //! component flips Degraded when region-1's spill buffer fills during the
 //! outage window and recovers to Healthy after the flush.
 

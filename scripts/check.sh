@@ -38,11 +38,14 @@ cargo test --test profile_e2e --test accounting_props -q
 echo "==> arena vs pointer-oracle differential harness"
 cargo test --test arena_differential -q
 
-echo "==> E2 + E18 smoke: Flowtree operator and arena-vs-pointer benches run end-to-end"
+echo "==> E2 + E3 + E13 + E18 smoke: operator, export-path and arena benches run end-to-end"
 # `-- --test` runs each Criterion routine once, untimed, after the
 # experiment table; this proves the operator and arena/oracle benches
-# still build and execute end-to-end.
+# still build and execute end-to-end. E3 drives the export path through a
+# bare StoreHierarchy and E13 through Flowstream under outages.
 cargo bench -q -p megastream-bench --bench e2_flowtree_ops -- --test >/dev/null
+cargo bench -q -p megastream-bench --bench e3_hierarchy -- --test >/dev/null
+cargo bench -q -p megastream-bench --bench e13_fault_tolerance -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e18_arena_merge -- --test >/dev/null
 
 echo "==> durability: kill-and-restart recovery e2e"

@@ -6,7 +6,7 @@
 //! same-seed runs are bit-identical.
 
 use megastream::flowstream::FlowstreamError;
-use megastream::{DegradationPolicy, Flowstream, FlowstreamConfig};
+use megastream::{DegradationPolicy, Flowstream, FlowstreamConfig, PumpPolicy};
 use megastream_flow::time::{TimeDelta, Timestamp};
 use megastream_flowdb::QueryResult;
 use megastream_netsim::topology::{Network, NodeKind, TransferError};
@@ -202,7 +202,10 @@ fn jittered_backoff_is_seed_deterministic() {
             2,
             FlowstreamConfig {
                 epoch_len: TimeDelta::from_secs(30),
-                export_jitter_seed: jitter_seed,
+                export: PumpPolicy {
+                    jitter_seed,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         );

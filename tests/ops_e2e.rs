@@ -47,7 +47,7 @@ fn chaos_deployment(tel: &Telemetry) -> Flowstream {
     fs
 }
 
-/// (a) A seeded uplink outage drives the flowstream spill-occupancy rule
+/// (a) A seeded uplink outage drives the hierarchy spill-occupancy rule
 /// Healthy → Degraded while summaries buffer, and back to Healthy after
 /// the post-recovery flush — exactly one transition each way (the
 /// hysteresis must not flap), and the timestamps must bracket the fault
@@ -75,7 +75,7 @@ fn health_walks_degraded_and_back_across_outage() {
         .health()
         .alerts()
         .iter()
-        .filter(|a| a.component == "flowstream" && a.rule == "spill-occupancy")
+        .filter(|a| a.component == "hierarchy" && a.rule == "spill-occupancy")
         .cloned()
         .collect();
     assert_eq!(
