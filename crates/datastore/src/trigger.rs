@@ -7,6 +7,7 @@
 //! controller can react within machine-level time budgets without waiting
 //! for analytics.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use megastream_flow::key::FlowKey;
@@ -86,8 +87,54 @@ pub struct TriggerEvent {
 #[derive(Debug, Clone, Default)]
 struct TriggerState {
     last_fired: Option<Timestamp>,
-    /// For flow-score triggers: (timestamp, score) events in the window.
-    window: Vec<(Timestamp, u64)>,
+    /// For flow-score triggers: the (timestamp, packets) entries in the window.
+    window: FlowWindow,
+}
+
+/// A flow-score trigger's sliding window: `(timestamp, packets)` entries
+/// sorted by timestamp, and their wrapping sum.
+///
+/// An entry leaves the window once a record arrives at `at` with
+/// `ts + window_len <= at`. That condition is monotone in `ts`, so the
+/// expired entries are always a prefix of the sorted window, whatever
+/// order records arrive in: popping from the front removes exactly the
+/// entries a scan of the whole window would, and the sum is the score.
+#[derive(Debug, Clone, Default)]
+struct FlowWindow {
+    entries: VecDeque<(Timestamp, u64)>,
+    sum: u64,
+}
+
+impl FlowWindow {
+    /// Adds `packets` seen at `at` and expires what `at` pushes out of a
+    /// window of `len`. Returns the score and the entries touched: pushed,
+    /// popped, or shifted by a late record's insert.
+    fn slide(&mut self, at: Timestamp, packets: u64, len: TimeDelta) -> (u64, u64) {
+        let mut touched = 1;
+        match self.entries.back() {
+            Some(&(newest, _)) if at < newest => {
+                // A late record goes after every entry at or before `at`;
+                // the entries behind its slot shift.
+                let slot = self.entries.partition_point(|&(ts, _)| ts <= at);
+                touched += (self.entries.len() - slot) as u64;
+                self.entries.insert(slot, (at, packets));
+            }
+            _ => self.entries.push_back((at, packets)),
+        }
+        self.sum = self.sum.wrapping_add(packets);
+        // Pop while `ts + len <= at`. The front is never later than the new
+        // entry at `at`, so `at - ts` cannot underflow, and unlike
+        // `ts + len` it cannot overflow.
+        while let Some(&(ts, old)) = self.entries.front() {
+            if at.saturating_since(ts) < len {
+                break;
+            }
+            touched += 1;
+            self.sum = self.sum.wrapping_sub(old);
+            self.entries.pop_front();
+        }
+        (self.sum, touched)
+    }
 }
 
 /// The trigger registry and matcher of one data store.
@@ -96,6 +143,7 @@ pub struct TriggerEngine {
     triggers: Vec<(Trigger, TriggerState)>,
     next_id: usize,
     fired: u64,
+    window_touches: u64,
 }
 
 impl TriggerEngine {
@@ -152,6 +200,14 @@ impl TriggerEngine {
         self.triggers.iter().map(|(t, _)| t)
     }
 
+    /// Flow-score window entries touched so far: each entry pushed,
+    /// popped, or shifted by a late record's insert. A deterministic work
+    /// counter: for in-order records it stays within two per matching
+    /// record, whatever the attack rate.
+    pub fn window_touches(&self) -> u64 {
+        self.window_touches
+    }
+
     /// Evaluates a scalar reading, returning any firings.
     pub fn on_scalar(&mut self, stream: &StreamId, value: f64, at: Timestamp) -> Vec<TriggerEvent> {
         let mut out = Vec::new();
@@ -195,10 +251,8 @@ impl TriggerEngine {
                 if !key.contains(&rec_key) {
                     continue;
                 }
-                state.window.push((at, rec.packets));
-                // Slide the window.
-                state.window.retain(|(ts, _)| *ts + *window_len > at);
-                let score: u64 = state.window.iter().map(|(_, s)| s).sum();
+                let (score, touched) = state.window.slide(at, rec.packets, *window_len);
+                self.window_touches += touched;
                 if score > threshold.value() && cooldown_ok(state, trigger.cooldown, at) {
                     state.last_fired = Some(at);
                     self.fired += 1;
@@ -225,9 +279,247 @@ fn cooldown_ok(state: &TriggerState, cooldown: TimeDelta, at: Timestamp) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::{collection, sample};
 
     fn stream(name: &str) -> StreamId {
         StreamId::new(name)
+    }
+
+    fn dst_key(prefix: &str) -> FlowKey {
+        FlowKey::root().with_dst_prefix(prefix.parse().unwrap())
+    }
+
+    fn flow(dst: &str, packets: u64) -> FlowRecord {
+        FlowRecord::builder()
+            .proto(17)
+            .src("1.2.3.4".parse().unwrap(), 5000)
+            .dst(dst.parse().unwrap(), 53)
+            .packets(packets)
+            .build()
+    }
+
+    /// The brute-force window the deque must match: push, `retain` the
+    /// live entries, then re-sum the whole window on every match. The sum
+    /// wraps, as `Iterator::sum` does in a release build.
+    struct Reference {
+        /// Each trigger with its last firing and its window.
+        triggers: Vec<(Trigger, Option<Timestamp>, Window)>,
+    }
+
+    type Window = Vec<(Timestamp, u64)>;
+
+    impl Reference {
+        fn of(eng: &TriggerEngine) -> Self {
+            Reference {
+                triggers: eng.iter().map(|t| (t.clone(), None, Vec::new())).collect(),
+            }
+        }
+
+        fn on_flow(&mut self, rec: &FlowRecord, at: Timestamp) -> Vec<TriggerEvent> {
+            let mut out = Vec::new();
+            let rec_key = FlowKey::from_record(rec);
+            for (trigger, last_fired, window) in &mut self.triggers {
+                let TriggerCondition::FlowScoreAbove {
+                    key,
+                    threshold,
+                    window_len,
+                } = &trigger.condition
+                else {
+                    continue;
+                };
+                if !key.contains(&rec_key) {
+                    continue;
+                }
+                window.push((at, rec.packets));
+                window.retain(|(ts, _)| *ts + *window_len > at);
+                let score = window.iter().fold(0u64, |s, (_, p)| s.wrapping_add(*p));
+                let cooled = match last_fired {
+                    None => true,
+                    Some(last) => at.saturating_since(*last) >= trigger.cooldown,
+                };
+                if score > threshold.value() && cooled {
+                    *last_fired = Some(at);
+                    out.push(TriggerEvent {
+                        trigger: trigger.id,
+                        installed_by: trigger.installed_by.clone(),
+                        at,
+                        observed: score as f64,
+                    });
+                }
+            }
+            out
+        }
+    }
+
+    /// One generated record: how its timestamp moves, the step, which
+    /// destination it hits, and its packet count.
+    type Op = (u8, u64, u8, u8);
+
+    /// Timestamp and record of every op. The cursor starts at 100 µs and
+    /// the windows are a few µs long, so equal timestamps and
+    /// `ts + window_len == at` are common:
+    /// - kind 0 repeats the cursor (an equal timestamp);
+    /// - kind 1 advances it by `step`;
+    /// - kind 2 is a late record `step` before the cursor, which stays;
+    /// - kind 3 advances it by exactly the first trigger's window.
+    ///
+    /// Destination 0 matches both triggers, 1 only the /24 and 2 neither.
+    /// Packet code 0 is a zero-packet record; with `huge` set, code 7 is
+    /// `u64::MAX / 3`, so the sum wraps.
+    fn records(ops: &[Op], len_a: u64, huge: bool) -> Vec<(Timestamp, FlowRecord)> {
+        let mut cursor = 100u64;
+        ops.iter()
+            .map(|&(kind, step, dst, code)| {
+                let at = match kind {
+                    0 => cursor,
+                    1 => {
+                        cursor += step;
+                        cursor
+                    }
+                    2 => cursor.saturating_sub(step),
+                    _ => {
+                        cursor += len_a;
+                        cursor
+                    }
+                };
+                let dst = ["9.9.9.9", "9.9.9.77", "8.8.8.8"][usize::from(dst)];
+                let packets = match code {
+                    7 if huge => u64::MAX / 3,
+                    c => u64::from(c),
+                };
+                let at = Timestamp::from_micros(at);
+                let mut rec = flow(dst, packets);
+                rec.ts = at;
+                (at, rec)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The deque window fires exactly as the push/`retain`/sum window:
+        /// same trigger, time and observed score on every record.
+        #[test]
+        fn window_matches_retain_reference(
+            ops in collection::vec((0u8..4, 0u64..30, 0u8..3, 0u8..8), 1..400),
+            len_a in sample::select(vec![0u64, 1, 10, 25]),
+            len_b in sample::select(vec![1u64, 10, 25]),
+            threshold_a in sample::select(vec![0u64, 8, 30]),
+            cooldown_b in 1u64..12,
+            huge in any::<bool>(),
+        ) {
+            let mut eng = TriggerEngine::new();
+            eng.install(
+                "victim",
+                TriggerCondition::FlowScoreAbove {
+                    key: dst_key("9.9.9.9/32"),
+                    threshold: Popularity::new(threshold_a),
+                    window_len: TimeDelta::from_micros(len_a),
+                },
+                TimeDelta::ZERO,
+            );
+            eng.install(
+                "subnet",
+                TriggerCondition::FlowScoreAbove {
+                    key: dst_key("9.9.9.0/24"),
+                    threshold: Popularity::new(12),
+                    window_len: TimeDelta::from_micros(len_b),
+                },
+                TimeDelta::from_micros(cooldown_b),
+            );
+            let mut reference = Reference::of(&eng);
+            let mut fired = 0;
+            for (i, (at, rec)) in records(&ops, len_a, huge).iter().enumerate() {
+                let want = reference.on_flow(rec, *at);
+                fired += want.len() as u64;
+                prop_assert_eq!(
+                    eng.on_flow(rec, *at),
+                    want,
+                    "record {} at {}: len_a {} len_b {} threshold_a {} cooldown_b {} huge {} ops {:?}",
+                    i, at, len_a, len_b, threshold_a, cooldown_b, huge, ops
+                );
+            }
+            prop_assert_eq!(eng.fired(), fired);
+        }
+    }
+
+    #[test]
+    fn late_record_does_not_revive_expired_entries() {
+        let mut eng = TriggerEngine::new();
+        eng.install(
+            "app",
+            TriggerCondition::FlowScoreAbove {
+                key: dst_key("9.9.9.9/32"),
+                threshold: Popularity::new(0),
+                window_len: TimeDelta::from_secs(10),
+            },
+            TimeDelta::ZERO,
+        );
+        let mut score_at = |secs: u64, packets: u64| {
+            let at = Timestamp::from_secs(secs);
+            eng.on_flow(&flow("9.9.9.9", packets), at)[0].observed
+        };
+        assert_eq!(score_at(0, 1), 1.0);
+        // t = 0 expires at t = 10: 0 + 10 <= 10.
+        assert_eq!(score_at(10, 2), 2.0);
+        assert_eq!(score_at(20, 4), 4.0);
+        // A late record at t = 5: t = 0 and t = 10 left the window earlier
+        // and do not come back; t = 20 is later than t = 5 and still counts.
+        assert_eq!(score_at(5, 8), 12.0);
+        // The late entry sorts first and expires first.
+        assert_eq!(score_at(25, 16), 20.0);
+    }
+
+    #[test]
+    fn window_expiry_does_not_overflow_near_the_end_of_time() {
+        let mut eng = TriggerEngine::new();
+        eng.install(
+            "app",
+            TriggerCondition::FlowScoreAbove {
+                key: dst_key("9.9.9.9/32"),
+                threshold: Popularity::new(0),
+                window_len: TimeDelta::from_secs(10),
+            },
+            TimeDelta::ZERO,
+        );
+        let last = Timestamp::from_micros(u64::MAX);
+        let early = Timestamp::from_micros(u64::MAX - 20_000_000);
+        for (at, score) in [(early, 1.0), (last, 1.0), (early, 2.0)] {
+            assert_eq!(eng.on_flow(&flow("9.9.9.9", 1), at)[0].observed, score);
+        }
+    }
+
+    /// The work gate: 1×, 4× and 16× the attack rate, in order, a 10 s
+    /// window over a 60 s attack. Each matching record touches a bounded
+    /// number of window entries, however full the window is.
+    #[test]
+    fn window_work_per_match_is_flat_in_attack_rate() {
+        for rate in [250u64, 1000, 4000] {
+            let mut eng = TriggerEngine::new();
+            eng.install(
+                "ddos-app",
+                TriggerCondition::FlowScoreAbove {
+                    key: dst_key("9.9.9.9/32"),
+                    threshold: Popularity::new(rate * 10),
+                    window_len: TimeDelta::from_secs(10),
+                },
+                TimeDelta::from_secs(10),
+            );
+            let matching = rate * 60;
+            let mut rec = flow("9.9.9.9", 10);
+            for k in 0..matching {
+                rec.ts = Timestamp::from_micros(k * 1_000_000 / rate);
+                eng.on_flow(&rec, rec.ts);
+            }
+            let per_match = eng.window_touches() as f64 / matching as f64;
+            assert!(
+                per_match <= 3.0,
+                "{rate} matching records/s: {per_match:.2} window entries touched per record"
+            );
+            assert!(eng.fired() >= 5, "{rate}/s: fired {}", eng.fired());
+        }
     }
 
     #[test]

@@ -38,15 +38,17 @@ cargo test --test profile_e2e --test accounting_props -q
 echo "==> arena vs pointer-oracle differential harness"
 cargo test --test arena_differential -q
 
-echo "==> E2 + E3 + E13 + E18 smoke: operator, export-path and arena benches run end-to-end"
+echo "==> E2 + E3 + E13 + E18 + E19 smoke: operator, export-path, arena and trigger-window benches run end-to-end"
 # `-- --test` runs each Criterion routine once, untimed, after the
 # experiment table; this proves the operator and arena/oracle benches
 # still build and execute end-to-end. E3 drives the export path through a
-# bare StoreHierarchy and E13 through Flowstream under outages.
+# bare StoreHierarchy and E13 through Flowstream under outages; E19 feeds a
+# flow-score trigger 1x, 4x and 16x the attack rate.
 cargo bench -q -p megastream-bench --bench e2_flowtree_ops -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e3_hierarchy -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e13_fault_tolerance -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e18_arena_merge -- --test >/dev/null
+cargo bench -q -p megastream-bench --bench e19_trigger_window -- --test >/dev/null
 
 echo "==> durability: kill-and-restart recovery e2e"
 cargo test --test durability_e2e -q
