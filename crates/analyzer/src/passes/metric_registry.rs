@@ -4,10 +4,11 @@
 //! The ops plane (PR 6) binds health rules, windowed quantiles, and
 //! dashboards to dotted metric names (`hierarchy.pump.workers`), so a
 //! renamed counter or a name reused at a different type silently breaks
-//! alerting. This pass collects every static registration/lookup site,
-//! enforces the naming convention, denies cross-type reuse, and
-//! cross-checks the generated registry table in `DESIGN.md` so the
-//! documentation provably matches the code.
+//! alerting. This pass collects every static registration/lookup site —
+//! including telemetry scopes, each of which times into the histogram
+//! `<name>.micros` — enforces the naming convention, denies cross-type
+//! reuse, and cross-checks the generated registry table in `DESIGN.md` so
+//! the documentation provably matches the code.
 
 use std::collections::BTreeMap;
 
@@ -48,7 +49,18 @@ impl MetricTable {
     }
 }
 
-const METHODS: &[&str] = &["counter", "gauge", "histogram"];
+/// Registration methods: `(method, metric type, suffix of the registered
+/// name)`. Scopes — `scope("a.b")`, `scope_with`, `root` — time into the
+/// histogram `a.b.micros`; the scope name itself is a span and profile-path
+/// name, so it must follow the convention too.
+const REGISTRATIONS: &[(&str, &str, &str)] = &[
+    ("counter", "counter", ""),
+    ("gauge", "gauge", ""),
+    ("histogram", "histogram", ""),
+    ("scope", "histogram", ".micros"),
+    ("scope_with", "histogram", ".micros"),
+    ("root", "histogram", ".micros"),
+];
 
 impl Pass for MetricRegistry {
     fn id(&self) -> &'static str {
@@ -62,7 +74,9 @@ impl Pass for MetricRegistry {
     fn explain(&self) -> &'static str {
         "WHAT: collects every static `counter(\"…\")` / `gauge(\"…\")` / `histogram(\"…\")` \
 call with a literal first argument in non-test crate sources (the telemetry crate itself \
-is excluded — its toy names are API examples), then enforces: (a) names follow the \
+is excluded — its toy names are API examples), plus every scope — `scope(\"…\")`, \
+`scope_with(\"…\", …)`, `root(\"…\")` — as the histogram `<name>.micros` it times \
+into, then enforces: (a) names, scope names included, follow the \
 `component.sub.name` convention — at least two lowercase dot-separated segments of \
 `[a-z][a-z0-9_]*`; (b) a name is never used at two different metric types (a counter in \
 one file, a gauge in another — reads through `Snapshot` count too); (c) the generated \
@@ -123,13 +137,14 @@ pub fn collect(ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>) -> MetricTab
         }
         let toks = &file.tokens;
         for i in 0..toks.len() {
-            for &method in METHODS {
+            for &(method, ty, suffix) in REGISTRATIONS {
                 if live_ident(file, i, method)
                     && toks.get(i + 1).map(|t| t.kind) == Some(TokenKind::Punct(b'('))
                     && toks.get(i + 2).map(|t| t.kind) == Some(TokenKind::StrLit)
                 {
                     let name = toks[i + 2].str_contents(&file.text).to_string();
                     if !well_formed(&name) {
+                        let what = if suffix.is_empty() { "metric" } else { "scope" };
                         report(
                             out,
                             file,
@@ -138,16 +153,16 @@ pub fn collect(ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>) -> MetricTab
                             level,
                             &name,
                             format!(
-                                "metric name `{name}` violates the `component.sub.name` \
+                                "{what} name `{name}` violates the `component.sub.name` \
                                  convention (≥2 lowercase dot-separated segments)"
                             ),
                         );
                     }
                     table
                         .metrics
-                        .entry(name)
+                        .entry(format!("{name}{suffix}"))
                         .or_default()
-                        .entry(method)
+                        .entry(ty)
                         .or_insert((file.rel_path.clone(), toks[i + 2].line));
                 }
             }
@@ -250,6 +265,29 @@ mod tests {
             None,
         );
         assert_eq!(findings.iter().filter(|f| f.key == "rows").count(), 1);
+    }
+
+    #[test]
+    fn scopes_register_their_micros_histogram() {
+        let (findings, table) = run_on(
+            vec![(
+                "crates/flowdb/src/db.rs",
+                "fn f(t: &Telemetry) { let _a = t.scope(\"flowdb.plan\"); \
+                 let _b = t.root(\"flowdb.query\"); \
+                 let _c = t.scope_with(\"flowdb.hot\", &h); let _d = t.scope(\"plan\"); }",
+            )],
+            None,
+        );
+        for name in [
+            "flowdb.plan.micros",
+            "flowdb.query.micros",
+            "flowdb.hot.micros",
+        ] {
+            assert!(table.metrics[name].contains_key("histogram"), "{name}");
+        }
+        // `plan.micros` would pass the two-segment rule; the scope name
+        // itself must not.
+        assert_eq!(findings.iter().filter(|f| f.key == "plan").count(), 1);
     }
 
     #[test]

@@ -128,6 +128,20 @@ fn metric_registry_fires_on_bad_fixture() {
 }
 
 #[test]
+fn metric_registry_checks_scope_names() {
+    let report = analyze(&[("crates/flowdb/src/fixture.rs", "metric_scope_bad.rs")]);
+    let found = denies(&report, "metric-registry");
+    assert_eq!(count_key(&found, "Parse"), 1, "{found:#?}");
+    // The scope's histogram and the counter clash: reported at both sites.
+    assert_eq!(count_key(&found, "fixture.stage.micros"), 2, "{found:#?}");
+    assert!(report
+        .metric_table
+        .metrics
+        .contains_key("fixture.query.micros"));
+    assert!(!report.metric_table.metrics.contains_key("Decoy.micros"));
+}
+
+#[test]
 fn gates_fire_on_bad_fixture() {
     let report = analyze(&[("crates/flow/src/fixture.rs", "gates_bad.rs")]);
     let found = denies(&report, "gates");

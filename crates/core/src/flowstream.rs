@@ -36,8 +36,7 @@ use megastream_storage::{
     SyncPolicy, WalRecord,
 };
 use megastream_telemetry::{
-    labeled, Counter, Gauge, Histogram, ProfileSnapshot, Profiler, ScopedTimer, Snapshot,
-    Telemetry, TraceSnapshot, Tracer, LATENCY_MICROS_BOUNDS,
+    labeled, Counter, Gauge, Histogram, SamplePolicy, Telemetry, LATENCY_MICROS_BOUNDS,
 };
 
 use crate::hierarchy::{
@@ -186,18 +185,15 @@ pub struct FlowstreamStats {
     pub partial_queries: u64,
 }
 
-/// Cached telemetry handles for the Flowstream fabric itself (per-router
-/// ingest counters, FlowQL end-to-end latency, the rotation timer, and the
-/// watermark gauge). The export edges record under `hierarchy.*`.
+/// Cached telemetry handles for the Flowstream ingest path (per-router
+/// counters, the ingest scope's histogram, and the watermark gauge). The
+/// export edges record under `hierarchy.*`.
 #[derive(Debug, Clone, Default)]
 struct StreamMetrics {
     /// `router_records[region][router]` — empty when telemetry is disabled.
     router_records: Vec<Vec<Counter>>,
-    query_micros: Histogram,
-    queries: Counter,
-    query_errors: Counter,
-    /// End-to-end wall-clock of one `rotate` pass.
-    rotate_micros: Histogram,
+    /// The `flowstream.ingest` scope's `flowstream.ingest.micros`.
+    ingest_micros: Histogram,
     /// Newest ingested simulated timestamp (`flowstream.watermark_micros`).
     watermark: Gauge,
 }
@@ -212,8 +208,6 @@ pub const HEAVY_QUERY_LOG_CAPACITY: usize = 64;
 #[derive(Debug)]
 pub struct Flowstream {
     tel: Telemetry,
-    tracer: Tracer,
-    profiler: Profiler,
     /// Bounded top-K heavy-query log: FlowQL text → accumulated
     /// deterministic work units
     /// ([`QueryCost::work_units`](megastream_flowdb::QueryCost::work_units)).
@@ -304,8 +298,6 @@ impl Flowstream {
         let par = config.parallelism;
         Flowstream {
             tel: Telemetry::disabled(),
-            tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
             heavy_queries: Mutex::new(SpaceSaving::new(HEAVY_QUERY_LOG_CAPACITY)),
             metrics: StreamMetrics::default(),
             raw_pending: vec![vec![0; routers_per_region]; regions],
@@ -383,15 +375,23 @@ impl Flowstream {
         self.config.parallelism
     }
 
-    /// Connects the whole deployment to a telemetry registry: the store
+    /// Connects the whole deployment to a telemetry handle: the store
     /// hierarchy (every region store, the NOC store and the exports
-    /// between them), FlowDB, per-router ingest counters, and the FlowQL
-    /// end-to-end latency histogram. Passing [`Telemetry::disabled`]
-    /// detaches everything again.
+    /// between them), FlowDB, per-router ingest counters, and the
+    /// `flowstream.{ingest,rotate,query}` scopes — with the handle's trace
+    /// sink, every FlowQL query and every pump is a trace; with its profile
+    /// sink, ingest, rotation (the pump under it) and queries are call
+    /// paths. Passing [`Telemetry::disabled`] detaches everything again.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
         self.hierarchy.set_telemetry(tel);
         self.flowdb.set_telemetry(tel);
+        // Registered up front so the ops plane samples them from its
+        // first frame.
+        tel.histogram("flowstream.query.micros", LATENCY_MICROS_BOUNDS);
+        tel.counter("flowstream.query.total");
+        tel.counter("flowstream.query.errors_total");
+        tel.histogram("flowstream.rotate.micros", LATENCY_MICROS_BOUNDS);
         self.metrics = if tel.is_enabled() {
             StreamMetrics {
                 router_records: (0..self.regions())
@@ -407,13 +407,7 @@ impl Flowstream {
                             .collect()
                     })
                     .collect(),
-                query_micros: tel.histogram(
-                    "flowstream.query.micros",
-                    megastream_telemetry::LATENCY_MICROS_BOUNDS,
-                ),
-                queries: tel.counter("flowstream.query.total"),
-                query_errors: tel.counter("flowstream.query.errors_total"),
-                rotate_micros: tel.histogram("flowstream.rotate.micros", LATENCY_MICROS_BOUNDS),
+                ingest_micros: tel.histogram("flowstream.ingest.micros", LATENCY_MICROS_BOUNDS),
                 watermark: tel.gauge("flowstream.watermark_micros"),
             }
         } else {
@@ -426,56 +420,6 @@ impl Flowstream {
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.set_telemetry(tel);
         self
-    }
-
-    /// Connects the deployment to a causal tracer: every FlowQL query
-    /// records a `flowstream.query` span tree (subject to the tracer's
-    /// sampling policy). Passing [`Tracer::disabled`] detaches again at
-    /// one-branch cost per span site.
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = tracer.clone();
-    }
-
-    /// Builder-style [`Flowstream::set_tracer`].
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
-        self.set_tracer(tracer);
-        self
-    }
-
-    /// The tracer queries record into (disabled unless
-    /// [`Flowstream::set_tracer`] was called).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Connects the deployment to a scoped-activity profiler: ingest,
-    /// rotation (with the hierarchy pump's phases under
-    /// `flowstream.rotate`), and FlowQL query phases record into its
-    /// activity tree (see [`Profiler`]). Passing [`Profiler::disabled`]
-    /// detaches again at one-branch cost per activity site.
-    pub fn set_profiler(&mut self, profiler: &Profiler) {
-        self.profiler = profiler.clone();
-        self.hierarchy.set_profiler(profiler);
-    }
-
-    /// Builder-style [`Flowstream::set_profiler`].
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: &Profiler) -> Self {
-        self.set_profiler(profiler);
-        self
-    }
-
-    /// The profiler activity sites record into (disabled unless
-    /// [`Flowstream::set_profiler`] was called).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Snapshot of aggregated profile activities (empty when profiling is
-    /// off).
-    pub fn profile_snapshot(&self) -> ProfileSnapshot {
-        self.profiler.snapshot()
     }
 
     /// The top `k` heaviest queries by accumulated deterministic work
@@ -493,24 +437,6 @@ impl Flowstream {
             .into_iter()
             .map(|(q, c)| (q, c.count))
             .collect()
-    }
-
-    /// Snapshot of all recorded trace spans (empty when tracing is off).
-    pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.tracer.snapshot()
-    }
-
-    /// Human-readable span-tree report of all recorded traces (empty when
-    /// tracing is off).
-    pub fn trace_report(&self) -> String {
-        self.tracer.render_tree()
-    }
-
-    /// All recorded traces as Chrome `trace_event` JSON, loadable in
-    /// `chrome://tracing` or Perfetto (empty event list when tracing is
-    /// off).
-    pub fn trace_chrome_json(&self) -> String {
-        self.tracer.render_chrome_json()
     }
 
     /// Number of regions.
@@ -571,9 +497,11 @@ impl Flowstream {
     /// whose timestamp is within the current epoch. WAL replay calls this
     /// directly — the replayed record is already in the journal.
     fn apply_ingest(&mut self, region: usize, router: usize, rec: &FlowRecord) {
-        // Started after any rotations so `flowstream.rotate` stays a root
-        // activity of its own rather than nesting under every ingest.
-        let _activity = self.profiler.activity("flowstream.ingest");
+        // Opened after any rotations so `flowstream.rotate` stays a root
+        // scope of its own rather than nesting under every ingest.
+        let _scope = self
+            .tel
+            .scope_with("flowstream.ingest", &self.metrics.ingest_micros);
         self.now = self.now.max(rec.ts);
         self.metrics.watermark.set(self.now.as_micros() as i64);
         if let Some(counter) = self
@@ -623,8 +551,7 @@ impl Flowstream {
     /// region store to the NOC. [`Flowstream::new`] links every such pair,
     /// so neither can occur.
     fn rotate(&mut self, at: Timestamp) {
-        let rotate_timer = ScopedTimer::start(&self.metrics.rotate_micros);
-        let _activity = self.profiler.activity("flowstream.rotate");
+        let scope = self.tel.scope("flowstream.rotate");
         // Open this epoch's segment before any frame can be produced.
         cold_op(&mut self.cold, |t| t.begin_epoch(at));
         // ① account the raw router → region-store transfers of this epoch.
@@ -667,7 +594,7 @@ impl Flowstream {
             cold_op(&mut self.cold, |t| t.wal_reset());
         }
         self.epoch_end = at + self.config.epoch_len;
-        rotate_timer.stop();
+        scope.finish();
     }
 
     /// End-of-epoch snapshot journaled as the sealing [`Frame::Meta`]:
@@ -866,7 +793,7 @@ impl Flowstream {
     /// under [`DegradationPolicy::FailFast`] with unreachable locations
     /// holding matching data — [`FlowstreamError::Unreachable`].
     pub fn query(&self, flowql: &str) -> Result<QueryResult, FlowstreamError> {
-        self.query_with(flowql, self.config.degradation, &self.tracer)
+        self.query_with(flowql, self.config.degradation, &self.tel)
     }
 
     /// [`Flowstream::query`] under an explicit policy, overriding the
@@ -880,7 +807,7 @@ impl Flowstream {
         flowql: &str,
         policy: DegradationPolicy,
     ) -> Result<QueryResult, FlowstreamError> {
-        self.query_with(flowql, policy, &self.tracer)
+        self.query_with(flowql, policy, &self.tel)
     }
 
     /// Region locations (plus `noc`) currently unreachable from the cloud
@@ -909,53 +836,42 @@ impl Flowstream {
         out
     }
 
-    /// [`Flowstream::query`] recording its causal lineage into `tracer`:
-    /// a `flowstream.query` root span with a `parse` child and the FlowDB
-    /// execution stages (plan, per-location fan-out, merge, operator run)
-    /// underneath. With unreachable locations, the root span is annotated
-    /// with the policy, the unreachable set, and the result's
-    /// completeness — so `explain` shows *why* a result is partial.
+    /// [`Flowstream::query`] recording into `tel`: a `flowstream.query`
+    /// root scope with a `flowdb.parse` child and the FlowDB execution
+    /// stages (plan, per-location fan-out, merge, operator) underneath.
+    /// With unreachable locations, the root is annotated with the policy,
+    /// the unreachable set, and the result's completeness — so `explain`
+    /// shows *why* a result is partial.
     fn query_with(
         &self,
         flowql: &str,
         policy: DegradationPolicy,
-        tracer: &Tracer,
+        tel: &Telemetry,
     ) -> Result<QueryResult, FlowstreamError> {
-        let timer = ScopedTimer::start(&self.metrics.query_micros);
-        self.metrics.queries.inc();
-        let _activity = self.profiler.activity("flowstream.query");
-        let mut root = tracer.root("flowstream.query");
+        let mut root = tel.root("flowstream.query");
+        tel.counter("flowstream.query.total").inc();
         root.annotate("flowql", flowql);
-        let parse_timer = self.tel.timer("flowdb.parse.micros");
-        let parse_activity = self.profiler.activity("parse");
-        let parse_span = root.child("parse");
+        let parse = tel.scope("flowdb.parse");
         let parsed = megastream_flowdb::parse(flowql).map_err(FlowstreamError::Parse);
-        drop(parse_span);
-        drop(parse_activity);
-        parse_timer.stop();
-        let _exec_activity = self.profiler.activity("execute");
+        parse.finish();
         let unavailable = self.unreachable_locations();
         let result = parsed.and_then(|query| {
-            if unavailable.is_empty() {
-                return self
-                    .flowdb
-                    .execute_traced(&query, &root)
-                    .map_err(FlowstreamError::Query);
+            if !unavailable.is_empty() {
+                root.annotate("degradation", format_args!("{policy:?}"));
+                root.annotate(
+                    "unreachable",
+                    unavailable.iter().cloned().collect::<Vec<_>>().join(","),
+                );
             }
-            root.annotate("degradation", &format!("{policy:?}"));
-            root.annotate(
-                "unreachable",
-                &unavailable.iter().cloned().collect::<Vec<_>>().join(","),
-            );
-            let partial = self
+            let result = self
                 .flowdb
-                .execute_partial_traced(&query, &root, &unavailable)
+                .execute_with(&query, &unavailable, tel)
                 .map_err(FlowstreamError::Query)?;
-            if partial.completeness.is_complete() {
+            if result.completeness.is_complete() {
                 // The query never needed the unreachable locations.
-                return Ok(partial);
+                return Ok(result);
             }
-            root.annotate("completeness", &partial.completeness.to_string());
+            root.annotate("completeness", result.completeness);
             match policy {
                 DegradationPolicy::FailFast => Err(FlowstreamError::Unreachable {
                     locations: self
@@ -968,20 +884,20 @@ impl Flowstream {
                 }),
                 DegradationPolicy::Partial => {
                     self.partial_queries.fetch_add(1, Ordering::Relaxed);
-                    self.tel.counter("flowstream.query.partial_total").inc();
-                    Ok(partial)
+                    tel.counter("flowstream.query.partial_total").inc();
+                    Ok(result)
                 }
             }
         });
         match &result {
             Err(e) => {
-                self.metrics.query_errors.inc();
-                root.annotate("error", &e.to_string());
+                tel.counter("flowstream.query.errors_total").inc();
+                root.annotate("error", e);
             }
             Ok(r) => {
                 // Cost metering: annotate the trace root and charge the
                 // heavy-query log with the execution's deterministic work.
-                root.annotate("cost", &r.cost.to_string());
+                root.annotate("cost", &r.cost);
                 let mut log = match self.heavy_queries.lock() {
                     Ok(g) => g,
                     Err(p) => p.into_inner(),
@@ -989,26 +905,26 @@ impl Flowstream {
                 log.offer(flowql.to_owned(), r.cost.work_units());
             }
         }
-        timer.stop();
+        root.finish();
         result
     }
 
-    /// Runs a FlowQL query under a throwaway always-on tracer and returns
-    /// both the result and its rendered span tree — `EXPLAIN ANALYZE` for
-    /// FlowQL. Works regardless of whether the deployment itself has a
-    /// tracer attached.
+    /// Runs a FlowQL query under a throwaway handle that traces every query
+    /// and returns both the result and its rendered span tree — `EXPLAIN
+    /// ANALYZE` for FlowQL. Works whether or not the deployment traces, and
+    /// leaves nothing in the deployment's own sinks.
     ///
     /// # Errors
     ///
     /// Returns [`FlowstreamError`] on parse or execution failures; the
     /// explanation still carries the spans recorded up to the failure.
     pub fn explain(&self, flowql: &str) -> (Result<QueryResult, FlowstreamError>, Explanation) {
-        let tracer = Tracer::new();
-        let result = self.query_with(flowql, self.config.degradation, &tracer);
+        let tel = Telemetry::new().with_tracing(SamplePolicy::Always);
+        let result = self.query_with(flowql, self.config.degradation, &tel);
         (
             result,
             Explanation {
-                tree: tracer.render_tree(),
+                tree: tel.trace_snapshot().render_tree(),
             },
         )
     }
@@ -1038,19 +954,11 @@ impl Flowstream {
     }
 
     /// The telemetry handle this deployment records into (disabled unless
-    /// [`Flowstream::set_telemetry`] was called).
+    /// [`Flowstream::set_telemetry`] was called): its metric snapshot and
+    /// text report, its trace snapshot (span trees, Chrome JSON) and its
+    /// profile snapshot (top table, collapsed stacks).
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
-    }
-
-    /// Snapshot of all telemetry metrics (empty when disabled).
-    pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.tel.snapshot()
-    }
-
-    /// Human-readable telemetry report (empty when disabled).
-    pub fn telemetry_report(&self) -> String {
-        self.tel.render_text()
     }
 
     /// The FlowDB index.

@@ -23,9 +23,7 @@ use megastream_flowdb::par::fan_out;
 use megastream_flowdb::Parallelism;
 use megastream_netsim::topology::{Network, NodeId, TransferError};
 use megastream_primitives::aggregator::Combinable;
-use megastream_telemetry::{
-    labeled, Profiler, Telemetry, TraceSpan, Tracer, LATENCY_MICROS_BOUNDS,
-};
+use megastream_telemetry::{labeled, Histogram, Telemetry, LATENCY_MICROS_BOUNDS};
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -191,8 +189,6 @@ pub struct StoreHierarchy {
     entries: Vec<Entry>,
     network: Network,
     tel: Telemetry,
-    tracer: Tracer,
-    profiler: Profiler,
     policy: PumpPolicy,
     par: Parallelism,
 }
@@ -204,8 +200,6 @@ impl StoreHierarchy {
             entries: Vec::new(),
             network,
             tel: Telemetry::disabled(),
-            tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
             policy: PumpPolicy::default(),
             par: Parallelism::default(),
         }
@@ -247,8 +241,14 @@ impl StoreHierarchy {
     }
 
     /// Connects the hierarchy (and every store in it, present or future) to
-    /// a telemetry registry. [`StoreHierarchy::pump`] records per-level
-    /// export volume and latency under `hierarchy.*{level=<depth>}` names.
+    /// a telemetry handle. [`StoreHierarchy::pump`] records per-level
+    /// export volume and latency under `hierarchy.*{level=<depth>}` names,
+    /// and each pump is a `hierarchy.pump` trace: a `hierarchy.rotate`
+    /// scope per level over the stores' rotations, a `hierarchy.flush`
+    /// scope per spill flush, and a `hierarchy.export` scope per rotated
+    /// store with the parent-side re-aggregation nested in it as
+    /// `hierarchy.absorb` — so a summary's lineage across levels is one
+    /// connected tree.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
         // Registered up front so the ops plane's export rules read zero on
@@ -258,34 +258,6 @@ impl StoreHierarchy {
         for entry in &mut self.entries {
             entry.store.set_telemetry(tel);
         }
-    }
-
-    /// Connects the hierarchy to a causal tracer: every
-    /// [`StoreHierarchy::pump`] records a `hierarchy.pump` root span with
-    /// one `export` child per rotated store and, stamped with the export's
-    /// context, an `absorb` span covering the parent-side re-aggregation —
-    /// so a summary's lineage across levels is one connected tree. Passing
-    /// [`Tracer::disabled`] detaches again.
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = tracer.clone();
-    }
-
-    /// The tracer pump passes record into.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Connects the hierarchy to a scoped-activity profiler: every
-    /// [`StoreHierarchy::pump`] records a `hierarchy.pump` activity with
-    /// `flush_spill`, `rotate_level`, and `export_level` phases. Passing
-    /// [`Profiler::disabled`] detaches again at one-branch cost per site.
-    pub fn set_profiler(&mut self, profiler: &Profiler) {
-        self.profiler = profiler.clone();
-    }
-
-    /// The profiler pump passes record into.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
     }
 
     /// Total accounted deep memory of every store in the hierarchy:
@@ -439,9 +411,7 @@ impl StoreHierarchy {
         now: Timestamp,
         observer: &mut dyn FnMut(PumpEvent<'_>),
     ) -> Result<ExportStats, PumpError> {
-        let pump_span = self.tel.span("hierarchy.pump");
-        let _activity = self.profiler.activity("hierarchy.pump");
-        let trace_root = self.tracer.root("hierarchy.pump");
+        let _pump = self.tel.root("hierarchy.pump");
         if self.tel.is_enabled() {
             // Simulated-time progress of the pump loop — the ops plane's
             // freshness rules compare this against "now".
@@ -468,13 +438,11 @@ impl StoreHierarchy {
                 .push(i);
         }
         for level in levels.into_values() {
-            let flush_activity = self.profiler.activity("flush_spill");
             for &i in &level {
                 if !self.entries[i].spill.is_empty() {
-                    self.flush_spill(i, now, &trace_root, &mut stats, observer)?;
+                    self.flush_spill(i, now, &mut stats, observer)?;
                 }
             }
-            drop(flush_activity);
             let due: Vec<usize> = level
                 .into_iter()
                 .filter(|&i| self.entries[i].store.epoch_due(now))
@@ -482,17 +450,12 @@ impl StoreHierarchy {
             if due.is_empty() {
                 continue;
             }
-            let rotate_activity = self.profiler.activity("rotate_level");
             let rotated = self.rotate_due(&due, now);
-            drop(rotate_activity);
             stats.rotations += due.len() as u64;
-            let export_activity = self.profiler.activity("export_level");
             for (i, exported) in due.into_iter().zip(rotated) {
-                self.export_rotated(i, exported, now, &trace_root, &mut stats, observer)?;
+                self.export_rotated(i, exported, now, &mut stats, observer)?;
             }
-            drop(export_activity);
         }
-        pump_span.finish();
         Ok(stats)
     }
 
@@ -502,6 +465,7 @@ impl StoreHierarchy {
     /// order `due` lists them. Records the worker count and per-worker busy
     /// time under `hierarchy.pump.workers` / `hierarchy.pump.worker.micros`.
     fn rotate_due(&mut self, due: &[usize], now: Timestamp) -> Vec<Vec<StoredSummary>> {
+        let _rotate = self.tel.scope("hierarchy.rotate");
         let workers = self.par.worker_count(due.len());
         if self.tel.is_enabled() {
             self.tel.gauge("hierarchy.pump.workers").set(workers as i64);
@@ -533,7 +497,6 @@ impl StoreHierarchy {
         i: usize,
         exported: Vec<StoredSummary>,
         now: Timestamp,
-        trace_root: &TraceSpan,
         stats: &mut ExportStats,
         observer: &mut dyn FnMut(PumpEvent<'_>),
     ) -> Result<(), PumpError> {
@@ -544,30 +507,21 @@ impl StoreHierarchy {
             return Ok(());
         };
         let depth = self.entries[i].depth;
-        let level_timer = if self.tel.is_enabled() {
-            Some(self.tel.timer(&labeled(
-                "hierarchy.export.micros",
-                "level",
-                &depth.to_string(),
-            )))
+        let level_micros = if self.tel.is_enabled() {
+            self.tel.histogram(
+                &labeled("hierarchy.export.micros", "level", &depth.to_string()),
+                LATENCY_MICROS_BOUNDS,
+            )
         } else {
-            None
+            Histogram::noop()
         };
-        let mut export_span = trace_root.child("export");
-        if export_span.is_recording() {
-            export_span.annotate("store", self.entries[i].store.name());
-            export_span.annotate("level", &depth.to_string());
-        }
-        // The export's context stamps the parent-side re-aggregation,
-        // linking the two levels into one lineage tree.
-        let mut absorb_span = match export_span.context() {
-            Some(ctx) => {
-                let mut s = self.tracer.span_in(ctx, "absorb");
-                s.annotate("store", self.entries[parent].store.name());
-                s
-            }
-            None => TraceSpan::disabled(),
-        };
+        let mut export = self.tel.scope_with("hierarchy.export", &level_micros);
+        export.annotate("store", self.entries[i].store.name());
+        export.annotate("level", depth);
+        // The parent-side re-aggregation nests in the export, linking the
+        // two levels into one lineage tree.
+        let mut absorb = self.tel.scope("hierarchy.absorb");
+        absorb.annotate("store", self.entries[parent].store.name());
         let (from, to) = (self.entries[i].net, self.entries[parent].net);
         let mut level_bytes = 0u64;
         let (mut absorbed, mut imported, mut spilled) = (0u64, 0u64, 0u64);
@@ -578,8 +532,8 @@ impl StoreHierarchy {
                     stats.exported_summaries += 1;
                     stats.exported_bytes += bytes;
                     level_bytes += bytes;
-                    export_span.add_bytes(bytes);
-                    export_span.add_records(1);
+                    export.add_bytes(bytes);
+                    export.add_records(1);
                     observer(PumpEvent::Edge(
                         EdgeOutcome::Exported,
                         HierarchyId(i),
@@ -591,13 +545,11 @@ impl StoreHierarchy {
                     } else {
                         imported += 1;
                     }
-                    absorb_span.add_bytes(bytes);
-                    absorb_span.add_records(1);
+                    absorb.add_bytes(bytes);
+                    absorb.add_records(1);
                 }
                 Err(err) if err.is_transient() => {
-                    if export_span.is_recording() {
-                        export_span.annotate("fault", &err.to_string());
-                    }
+                    export.annotate("fault", err);
                     observer(PumpEvent::Edge(
                         EdgeOutcome::Parked,
                         HierarchyId(i),
@@ -611,14 +563,13 @@ impl StoreHierarchy {
                 }
             }
         }
-        if export_span.is_recording() && spilled > 0 {
-            export_span.annotate("spilled", &spilled.to_string());
+        if spilled > 0 {
+            export.annotate("spilled", spilled);
         }
-        if absorb_span.is_recording() {
-            absorb_span.annotate("absorbed", &absorbed.to_string());
-            absorb_span.annotate("imported", &imported.to_string());
-        }
-        if let Some(timer) = level_timer {
+        absorb.annotate("absorbed", absorbed);
+        absorb.annotate("imported", imported);
+        absorb.finish();
+        if self.tel.is_enabled() {
             self.tel
                 .counter(&labeled(
                     "hierarchy.export.bytes_total",
@@ -626,8 +577,8 @@ impl StoreHierarchy {
                     &depth.to_string(),
                 ))
                 .add(level_bytes);
-            timer.stop();
         }
+        export.finish();
         Ok(())
     }
 
@@ -745,7 +696,6 @@ impl StoreHierarchy {
         &mut self,
         i: usize,
         now: Timestamp,
-        trace_root: &TraceSpan,
         stats: &mut ExportStats,
         observer: &mut dyn FnMut(PumpEvent<'_>),
     ) -> Result<(), PumpError> {
@@ -754,11 +704,9 @@ impl StoreHierarchy {
             return Ok(());
         };
         let (from, to) = (self.entries[i].net, self.entries[parent].net);
-        let mut flush_span = trace_root.child("flush");
-        if flush_span.is_recording() {
-            flush_span.annotate("store", self.entries[i].store.name());
-            flush_span.annotate("pending", &self.entries[i].spill.len().to_string());
-        }
+        let mut flush = self.tel.scope("hierarchy.flush");
+        flush.annotate("store", self.entries[i].store.name());
+        flush.annotate("pending", self.entries[i].spill.len());
         while let Some(head) = self.entries[i].spill.first() {
             let bytes = head.wire_size() as u64;
             match self.network.transfer(from, to, bytes, now) {
@@ -768,8 +716,8 @@ impl StoreHierarchy {
                     stats.flushed += 1;
                     stats.exported_summaries += 1;
                     stats.exported_bytes += bytes;
-                    flush_span.add_bytes(bytes);
-                    flush_span.add_records(1);
+                    flush.add_bytes(bytes);
+                    flush.add_records(1);
                     self.tel.counter("hierarchy.spill.flushed_total").inc();
                     observer(PumpEvent::Edge(
                         EdgeOutcome::Flushed,
@@ -781,9 +729,7 @@ impl StoreHierarchy {
                     }
                 }
                 Err(err) if err.is_transient() => {
-                    if flush_span.is_recording() {
-                        flush_span.annotate("fault", &err.to_string());
-                    }
+                    flush.annotate("fault", err);
                     break;
                 }
                 Err(source) => {

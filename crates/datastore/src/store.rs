@@ -8,9 +8,7 @@ use megastream_flow::record::FlowRecord;
 use megastream_flow::score::Popularity;
 use megastream_flow::time::{TimeDelta, TimeWindow, Timestamp};
 use megastream_primitives::aggregator::AdaptationFeedback;
-use megastream_telemetry::{
-    labeled, Counter, Gauge, Histogram, ScopedTimer, Telemetry, LATENCY_MICROS_BOUNDS,
-};
+use megastream_telemetry::{labeled, Counter, Gauge, Histogram, Telemetry, LATENCY_MICROS_BOUNDS};
 
 use crate::aggregator::{AggregatorId, AggregatorInstance, AggregatorSpec};
 use crate::storage::{StorageStrategy, SummaryStore};
@@ -64,6 +62,8 @@ pub struct StoreStats {
 /// no-ops until [`DataStore::set_telemetry`] installs a live registry.
 #[derive(Debug, Clone, Default)]
 struct StoreMetrics {
+    /// The handle the rotation scope opens on.
+    tel: Telemetry,
     flows: Counter,
     scalars: Counter,
     raw_bytes: Counter,
@@ -95,6 +95,7 @@ struct StoreMetrics {
 impl StoreMetrics {
     fn for_store(tel: &Telemetry, store: &str) -> Self {
         StoreMetrics {
+            tel: tel.clone(),
             flows: tel.counter(&labeled("datastore.ingest.flows_total", "store", store)),
             scalars: tel.counter(&labeled("datastore.ingest.scalars_total", "store", store)),
             raw_bytes: tel.counter(&labeled("datastore.ingest.raw_bytes_total", "store", store)),
@@ -367,7 +368,10 @@ impl DataStore {
     /// summary store and returns copies of the snapshots for export to
     /// parent stores (Fig. 5 ③). Aggregator state is reset.
     pub fn rotate_epoch(&mut self, now: Timestamp) -> Vec<StoredSummary> {
-        let timer = ScopedTimer::start(&self.metrics.rotate_micros);
+        let scope = self
+            .metrics
+            .tel
+            .scope_with("datastore.epoch.rotate", &self.metrics.rotate_micros);
         self.metrics.last_rotation.set(now.as_micros() as i64);
         let window = TimeWindow::new(self.epoch_start, now.max(self.epoch_start));
         let mut exported = Vec::new();
@@ -406,7 +410,7 @@ impl DataStore {
             .exported_bytes
             .add(exported.iter().map(|s| s.wire_size() as u64).sum());
         self.update_memory_gauges();
-        timer.stop();
+        scope.finish();
         exported
     }
 

@@ -2,12 +2,12 @@
 
 use megastream_flow::time::TimeWindow;
 use megastream_flowtree::Flowtree;
-use megastream_telemetry::{labeled, ScopedTimer, Telemetry, TraceSpan, LATENCY_MICROS_BOUNDS};
+use megastream_telemetry::{labeled, Telemetry, LATENCY_MICROS_BOUNDS};
 
 use std::collections::BTreeSet;
 
 use crate::ast::Query;
-use crate::exec::{execute_partial_traced, execute_traced, QueryError, QueryResult};
+use crate::exec::{self, QueryError, QueryResult};
 use crate::par::Parallelism;
 
 /// One indexed flow summary.
@@ -26,6 +26,8 @@ pub struct DbEntry {
 #[derive(Debug, Clone, Default)]
 pub struct FlowDb {
     entries: Vec<DbEntry>,
+    /// Wire bytes of all entries, kept as they are inserted.
+    bytes: usize,
     tel: Telemetry,
     par: Parallelism,
 }
@@ -47,11 +49,6 @@ impl FlowDb {
     /// [`Telemetry::disabled`] detaches again.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
-    }
-
-    /// The telemetry handle execution stages record into.
-    pub(crate) fn telemetry(&self) -> &Telemetry {
-        &self.tel
     }
 
     /// Sets how many worker threads the per-location query fan-out uses.
@@ -76,15 +73,14 @@ impl FlowDb {
 
     /// Inserts one flow summary.
     pub fn insert(&mut self, location: impl Into<String>, window: TimeWindow, tree: Flowtree) {
+        self.bytes += tree.wire_size();
         self.entries.push(DbEntry {
             location: location.into(),
             window,
             tree,
         });
         self.tel.counter("flowdb.summaries_total").inc();
-        self.tel
-            .gauge("flowdb.index_bytes")
-            .set(self.total_bytes() as i64);
+        self.tel.gauge("flowdb.index_bytes").set(self.bytes as i64);
     }
 
     /// Number of indexed summaries.
@@ -99,7 +95,7 @@ impl FlowDb {
 
     /// Total bytes of all indexed summaries.
     pub fn total_bytes(&self) -> usize {
-        self.entries.iter().map(|e| e.tree.wire_size()).sum()
+        self.bytes
     }
 
     /// Distinct locations with stored summaries, sorted.
@@ -138,60 +134,7 @@ impl FlowDb {
     /// Returns [`QueryError`] if no summary matches the selection or the
     /// matching summaries have incompatible configurations.
     pub fn execute(&self, query: &Query) -> Result<QueryResult, QueryError> {
-        self.execute_traced(query, &TraceSpan::disabled())
-    }
-
-    /// [`FlowDb::execute`] with causal tracing: execution stages (plan,
-    /// per-location fan-out, merge, per-operator run) are recorded as
-    /// children of `parent`, forming the `EXPLAIN ANALYZE` lineage tree.
-    /// A null `parent` (see [`TraceSpan::disabled`]) records nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlowDb::execute`].
-    pub fn execute_traced(
-        &self,
-        query: &Query,
-        parent: &TraceSpan,
-    ) -> Result<QueryResult, QueryError> {
-        if !self.tel.is_enabled() {
-            return execute_traced(self, query, parent);
-        }
-        let kind = query.op.kind();
-        let timer = ScopedTimer::start(&self.tel.histogram(
-            &labeled("flowdb.exec.micros", "op", kind),
-            LATENCY_MICROS_BOUNDS,
-        ));
-        self.tel
-            .counter(&labeled("flowdb.exec.total", "op", kind))
-            .inc();
-        let result = execute_traced(self, query, parent);
-        match &result {
-            Err(_) => self.tel.counter("flowdb.exec.errors_total").inc(),
-            Ok(r) => {
-                self.record_result_metrics(r);
-            }
-        }
-        timer.stop();
-        result
-    }
-
-    /// Result-shape metrics shared by the complete and partial execution
-    /// paths: the answer's row count, the completeness percentage the
-    /// ops plane's degradation rule watches, and the cost-accounting
-    /// distributions (bytes merged and nodes visited per query).
-    fn record_result_metrics(&self, result: &QueryResult) {
-        self.tel
-            .histogram("flowdb.exec.rows", EXEC_ROWS_BOUNDS)
-            .record(result.rows.len() as u64);
-        let pct = (result.completeness.fraction() * 100.0).round() as i64;
-        self.tel.gauge("flowdb.exec.completeness_pct").set(pct);
-        self.tel
-            .histogram("flowdb.cost.bytes_merged", COST_BYTES_BOUNDS)
-            .record(result.cost.bytes_merged);
-        self.tel
-            .histogram("flowdb.cost.nodes_visited", COST_NODES_BOUNDS)
-            .record(result.cost.nodes_visited as u64);
+        self.execute_with(query, &BTreeSet::new(), &self.tel)
     }
 
     /// Degraded execution: summaries from `unavailable` locations are
@@ -209,46 +152,61 @@ impl FlowDb {
         query: &Query,
         unavailable: &BTreeSet<String>,
     ) -> Result<QueryResult, QueryError> {
-        self.execute_partial_traced(query, &TraceSpan::disabled(), unavailable)
+        self.execute_with(query, unavailable, &self.tel)
     }
 
-    /// [`FlowDb::execute_partial`] with causal tracing: skipped locations
-    /// are recorded as `fanout` spans annotated `skipped=unreachable`, so
-    /// the lineage tree explains *why* a result is partial.
+    /// [`FlowDb::execute_partial`] recording into `tel` instead of the
+    /// database's own handle. The execution stages (plan, per-location
+    /// fan-out, merge, operator) are scopes, so under a sampled trace root
+    /// they form the query's `EXPLAIN ANALYZE` lineage tree. With nothing
+    /// unavailable the result is complete.
     ///
     /// # Errors
     ///
     /// Same as [`FlowDb::execute_partial`].
-    pub fn execute_partial_traced(
+    pub fn execute_with(
         &self,
         query: &Query,
-        parent: &TraceSpan,
         unavailable: &BTreeSet<String>,
+        tel: &Telemetry,
     ) -> Result<QueryResult, QueryError> {
-        if !self.tel.is_enabled() {
-            return execute_partial_traced(self, query, parent, unavailable);
+        let result = exec::execute(self, query, unavailable, tel);
+        if tel.is_enabled() {
+            record_metrics(tel, query.op.kind(), &result);
         }
-        let kind = query.op.kind();
-        let timer = ScopedTimer::start(&self.tel.histogram(
-            &labeled("flowdb.exec.micros", "op", kind),
-            LATENCY_MICROS_BOUNDS,
-        ));
-        self.tel
-            .counter(&labeled("flowdb.exec.total", "op", kind))
-            .inc();
-        let result = execute_partial_traced(self, query, parent, unavailable);
-        match &result {
-            Err(_) => self.tel.counter("flowdb.exec.errors_total").inc(),
-            Ok(r) => {
-                if !r.completeness.is_complete() {
-                    self.tel.counter("flowdb.exec.partial_total").inc();
-                }
-                self.record_result_metrics(r);
-            }
-        }
-        timer.stop();
         result
     }
+}
+
+/// Per-operator execution metrics: the call count, the execution time
+/// the result's [`QueryCost`](crate::exec::QueryCost) measured, the
+/// completeness percentage the ops plane's degradation rule watches, and
+/// the result-shape distributions (rows, bytes merged, nodes visited).
+fn record_metrics(tel: &Telemetry, kind: &str, result: &Result<QueryResult, QueryError>) {
+    tel.counter(&labeled("flowdb.exec.total", "op", kind)).inc();
+    let r = match result {
+        Err(_) => {
+            tel.counter("flowdb.exec.errors_total").inc();
+            return;
+        }
+        Ok(r) => r,
+    };
+    tel.histogram(
+        &labeled("flowdb.exec.micros", "op", kind),
+        LATENCY_MICROS_BOUNDS,
+    )
+    .record(r.cost.total_micros);
+    if !r.completeness.is_complete() {
+        tel.counter("flowdb.exec.partial_total").inc();
+    }
+    tel.histogram("flowdb.exec.rows", EXEC_ROWS_BOUNDS)
+        .record(r.rows.len() as u64);
+    let pct = (r.completeness.fraction() * 100.0).round() as i64;
+    tel.gauge("flowdb.exec.completeness_pct").set(pct);
+    tel.histogram("flowdb.cost.bytes_merged", COST_BYTES_BOUNDS)
+        .record(r.cost.bytes_merged);
+    tel.histogram("flowdb.cost.nodes_visited", COST_NODES_BOUNDS)
+        .record(r.cost.nodes_visited as u64);
 }
 
 /// Bucket bounds for the per-query answer row count

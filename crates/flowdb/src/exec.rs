@@ -21,7 +21,7 @@ use std::fmt;
 use megastream_flow::key::FlowKey;
 use megastream_flow::score::Popularity;
 use megastream_flowtree::Flowtree;
-use megastream_telemetry::{clock, TraceSpan, LATENCY_MICROS_BOUNDS};
+use megastream_telemetry::{clock, Telemetry, LATENCY_MICROS_BOUNDS};
 
 use crate::ast::{Query, SelectOp};
 use crate::db::FlowDb;
@@ -329,26 +329,25 @@ fn cost_of_groups(groups: &[LocationGroup<'_>]) -> QueryCost {
     }
 }
 
-/// The fan-out + merge + operator stage shared by complete and degraded
-/// executions: every group in `groups` is scanned — concurrently on up to
+/// The fan-out + merge + operator stage: every group in `groups` is
+/// scanned — concurrently on up to
 /// [`Parallelism::worker_count`](crate::Parallelism) workers — and the
 /// partial results are combined **in location order**, so the outcome is
 /// independent of the worker count. Returns the result rows and the number
 /// of summaries used.
 ///
-/// Per-location `fanout` spans are recorded as children of `parent` from
-/// whichever thread runs them (the trace store is thread-safe); with
-/// `GROUP BY location` each carries its own `merge`/`run` children,
-/// otherwise a single top-level `merge` + `run` pair covers the
-/// cross-location combination.
+/// Each location's scan is a `flowdb.fanout` scope; `fan_out` hands the
+/// caller's open scope to the workers, so the scopes nest under it from
+/// any thread. With `GROUP BY location` each carries its own
+/// `flowdb.merge`/`flowdb.operator` children, otherwise a single pair after
+/// the fan-out covers the cross-location combination.
 fn run_groups(
     db: &FlowDb,
     query: &Query,
-    parent: &TraceSpan,
+    tel: &Telemetry,
     groups: Vec<LocationGroup<'_>>,
     where_key: &FlowKey,
 ) -> Result<(Vec<ResultRow>, usize), QueryError> {
-    let tel = db.telemetry();
     let used: usize = groups.iter().map(|g| g.trees.len()).sum();
     let workers = db.parallelism().worker_count(groups.len());
     if tel.is_enabled() {
@@ -356,6 +355,13 @@ fn run_groups(
     }
     let worker_micros = tel.histogram("flowdb.fanout.worker.micros", LATENCY_MICROS_BOUNDS);
     let report = |micros: u64| worker_micros.record(micros);
+    let operate = |merged: &Flowtree| {
+        let mut scope = tel.scope("flowdb.operator");
+        scope.annotate("op", query.op.kind());
+        let rows = run_op(merged, &query.op, where_key);
+        scope.add_records(rows.len() as u64);
+        rows
+    };
     if query.group_by_location {
         // One merge-and-operate pass per location; rows concatenate in
         // location order.
@@ -363,22 +369,14 @@ fn run_groups(
             groups,
             workers,
             |group| {
-                let mut group_span = parent.child("fanout");
-                group_span.annotate("location", group.location);
-                group_span.add_records(group.trees.len() as u64);
-                let merge_span = group_span.child("merge");
+                let mut scope = tel.scope("flowdb.fanout");
+                scope.annotate("location", group.location);
+                scope.add_records(group.trees.len() as u64);
+                let merge = tel.scope("flowdb.merge");
                 let merged = merge_group(&group.trees);
-                merge_span.finish();
-                let result = merged.map(|merged| {
-                    let mut op_span = group_span.child("run");
-                    op_span.annotate("op", query.op.kind());
-                    let group_rows = run_op(&merged, &query.op, where_key);
-                    op_span.add_records(group_rows.len() as u64);
-                    op_span.finish();
-                    group_rows
-                });
-                group_span.finish();
-                result.map(|rows| (group.location.to_owned(), rows))
+                merge.finish();
+                let rows = merged.map(|merged| operate(&merged));
+                rows.map(|rows| (group.location.to_owned(), rows))
             },
             report,
         );
@@ -398,18 +396,16 @@ fn run_groups(
         groups,
         workers,
         |group| {
-            let mut fanout_span = parent.child("fanout");
-            fanout_span.annotate("location", group.location);
-            fanout_span.add_records(group.trees.len() as u64);
-            fanout_span.add_bytes(group.bytes);
-            let partial = merge_group(&group.trees);
-            fanout_span.finish();
-            partial
+            let mut scope = tel.scope("flowdb.fanout");
+            scope.annotate("location", group.location);
+            scope.add_records(group.trees.len() as u64);
+            scope.add_bytes(group.bytes);
+            merge_group(&group.trees)
         },
         report,
     );
-    let mut merge_span = parent.child("merge");
-    merge_span.add_records(used as u64);
+    let mut merge = tel.scope("flowdb.merge");
+    merge.add_records(used as u64);
     let mut partials = partials.into_iter();
     let mut merged = partials.next().ok_or(QueryError::NoMatchingSummaries)??;
     for partial in partials {
@@ -419,115 +415,44 @@ fn run_groups(
         }
         merged.merge(&partial);
     }
-    merge_span.finish();
-    let mut run_span = parent.child("run");
-    run_span.annotate("op", query.op.kind());
-    let rows = run_op(&merged, &query.op, where_key);
-    run_span.add_records(rows.len() as u64);
-    run_span.finish();
-    Ok((rows, used))
+    merge.finish();
+    Ok((operate(&merged), used))
 }
 
-/// Executes `query` against `db` with causal tracing. See
-/// [`FlowDb::execute`].
+/// Executes `query` against `db`, recording into `tel`; summaries of
+/// `unavailable` locations are left out. See [`FlowDb::execute_with`].
 ///
-/// The plan stage (summary selection/grouping) and the run stage
-/// (fan-out + merge + operator) are timed separately into
-/// `flowdb.plan.micros` and `flowdb.run.micros` when the database has live
-/// telemetry; the fan-out additionally records the worker count into the
-/// `flowdb.fanout.workers` gauge and each worker's busy time into the
-/// `flowdb.fanout.worker.micros` histogram.
-///
-/// When `parent` is a recording span, the
-/// execution emits a lineage tree under it — a `plan` span (summary
-/// selection), one `fanout` span per contacted location annotated with the
-/// summaries and bytes it contributed, a `merge` span, and a `run` span
-/// carrying the operator and row count. With a null `parent` every span
-/// site is a single branch.
-pub(crate) fn execute_traced(
+/// The stages are scopes: `flowdb.plan` (summary selection and grouping,
+/// annotated with any `skipped` unreachable locations), then
+/// [`run_groups`]' fan-out, merge and operator. The result's
+/// [`QueryCost`] times plan, run and total whether or not `tel` is live;
+/// the run time also lands in `flowdb.run.micros`. The result's
+/// [`Completeness`] counts the matching locations consulted — all of them
+/// when none is unavailable. If every matching location is unavailable
+/// the result is empty (`0/n`), not an error.
+pub(crate) fn execute(
     db: &FlowDb,
     query: &Query,
-    parent: &TraceSpan,
-) -> Result<QueryResult, QueryError> {
-    let tel = db.telemetry();
-    let where_key = query.where_key();
-    let clock_total = clock::start();
-    let mut plan_span = parent.child("plan");
-    let groups = plan_groups(db, query);
-    plan_span.add_records(groups.iter().map(|g| g.trees.len() as u64).sum());
-    plan_span.finish();
-    let plan_micros = clock_total.elapsed_micros();
-    if tel.is_enabled() {
-        tel.histogram("flowdb.plan.micros", LATENCY_MICROS_BOUNDS)
-            .record(plan_micros);
-    }
-    if groups.is_empty() {
-        return Err(QueryError::NoMatchingSummaries);
-    }
-    let mut cost = cost_of_groups(&groups);
-    cost.plan_micros = plan_micros;
-    let location_count = groups.len();
-    let clock_run = clock::start();
-    let (rows, used) = run_groups(db, query, parent, groups, &where_key)?;
-    cost.run_micros = clock_run.elapsed_micros();
-    if tel.is_enabled() {
-        tel.histogram("flowdb.run.micros", LATENCY_MICROS_BOUNDS)
-            .record(cost.run_micros);
-    }
-    cost.rows_returned = rows.len();
-    cost.total_micros = clock_total.elapsed_micros();
-    let op = if query.group_by_location {
-        format!("{} GROUP BY location", query.op)
-    } else {
-        query.op.to_string()
-    };
-    Ok(QueryResult {
-        op,
-        summaries_used: used,
-        rows,
-        completeness: Completeness::complete(location_count),
-        cost,
-    })
-}
-
-/// Degraded execution: like [`execute_traced`] but summaries from
-/// `unavailable` locations are excluded from the merge instead of
-/// contributing, and the result's [`Completeness`] records how many of the
-/// matching locations were actually consulted. A `fanout` span annotated
-/// `skipped=unreachable` is emitted per excluded location, so `explain`
-/// shows *why* the result is partial.
-pub(crate) fn execute_partial_traced(
-    db: &FlowDb,
-    query: &Query,
-    parent: &TraceSpan,
     unavailable: &BTreeSet<String>,
+    tel: &Telemetry,
 ) -> Result<QueryResult, QueryError> {
-    let tel = db.telemetry();
     let where_key = query.where_key();
     let clock_total = clock::start();
-    let mut plan_span = parent.child("plan");
-    let mut groups = plan_groups(db, query);
-    plan_span.add_records(groups.iter().map(|g| g.trees.len() as u64).sum());
-    plan_span.finish();
-    let plan_micros = clock_total.elapsed_micros();
-    if tel.is_enabled() {
-        tel.histogram("flowdb.plan.micros", LATENCY_MICROS_BOUNDS)
-            .record(plan_micros);
+    let mut plan = tel.scope("flowdb.plan");
+    let (groups, skipped): (Vec<_>, Vec<_>) = plan_groups(db, query)
+        .into_iter()
+        .partition(|group| !unavailable.contains(group.location));
+    plan.add_records(groups.iter().map(|g| g.trees.len() as u64).sum());
+    if plan.is_recording() && !skipped.is_empty() {
+        let locations: Vec<&str> = skipped.iter().map(|g| g.location).collect();
+        plan.annotate("skipped", locations.join(","));
     }
-    let total = groups.len();
+    plan.finish();
+    let plan_micros = clock_total.elapsed_micros();
+    let total = groups.len() + skipped.len();
     if total == 0 {
         return Err(QueryError::NoMatchingSummaries);
     }
-    groups.retain(|group| {
-        if !unavailable.contains(group.location) {
-            return true;
-        }
-        let mut span = parent.child("fanout");
-        span.annotate("location", group.location);
-        span.annotate("skipped", "unreachable");
-        span.finish();
-        false
-    });
     let completeness = Completeness {
         reached: groups.len(),
         total,
@@ -541,25 +466,16 @@ pub(crate) fn execute_partial_traced(
     } else {
         query.op.to_string()
     };
-    if groups.is_empty() {
-        // Every matching location is unreachable: an empty (0/n) result,
-        // not an error — the caller chose degraded execution.
-        cost.total_micros = clock_total.elapsed_micros();
-        return Ok(QueryResult {
-            op,
-            summaries_used: 0,
-            rows: Vec::new(),
-            completeness,
-            cost,
-        });
-    }
-    let clock_run = clock::start();
-    let (rows, used) = run_groups(db, query, parent, groups, &where_key)?;
-    cost.run_micros = clock_run.elapsed_micros();
-    if tel.is_enabled() {
+    let (rows, used) = if groups.is_empty() {
+        (Vec::new(), 0)
+    } else {
+        let clock_run = clock::start();
+        let done = run_groups(db, query, tel, groups, &where_key)?;
+        cost.run_micros = clock_run.elapsed_micros();
         tel.histogram("flowdb.run.micros", LATENCY_MICROS_BOUNDS)
             .record(cost.run_micros);
-    }
+        done
+    };
     cost.rows_returned = rows.len();
     cost.total_micros = clock_total.elapsed_micros();
     Ok(QueryResult {

@@ -12,7 +12,7 @@
 
 use std::num::NonZeroUsize;
 
-use megastream_telemetry::clock;
+use megastream_telemetry::{clock, ScopeParent};
 
 /// How many worker threads data-plane fan-outs use.
 ///
@@ -69,7 +69,9 @@ impl std::fmt::Display for Parallelism {
 ///
 /// `report` receives each worker's busy time in microseconds (used for the
 /// `*.workers` telemetry histograms); it is called once per worker, in
-/// worker order, from the calling thread.
+/// worker order, from the calling thread. Each worker first enters the
+/// caller's innermost open scope ([`ScopeParent`]), so telemetry scopes
+/// opened inside `f` nest under it whichever thread runs them.
 pub fn fan_out<T, U, F>(items: Vec<T>, workers: usize, f: F, mut report: impl FnMut(u64)) -> Vec<U>
 where
     T: Send,
@@ -90,11 +92,13 @@ where
     }
     let mut indexed: Vec<(usize, U)> = Vec::new();
     let mut busy: Vec<u64> = Vec::with_capacity(workers);
+    let parent = ScopeParent::current();
     std::thread::scope(|scope| {
         let handles: Vec<_> = stripes
             .into_iter()
             .map(|stripe| {
                 scope.spawn(|| {
+                    let _entered = parent.enter();
                     let started = clock::start();
                     let out: Vec<(usize, U)> =
                         stripe.into_iter().map(|(i, item)| (i, f(item))).collect();

@@ -3,7 +3,7 @@
 
 use megastream_datastore::DataStore;
 use megastream_replication::policy::ReplicationPolicy;
-use megastream_telemetry::{Telemetry, Tracer};
+use megastream_telemetry::Telemetry;
 
 use crate::placement::PlacementPlan;
 use crate::replication_ctl::ReplicationController;
@@ -17,7 +17,6 @@ pub struct Manager {
     resources: ResourceTracker,
     replication: ReplicationController,
     tel: Telemetry,
-    tracer: Tracer,
 }
 
 impl Manager {
@@ -28,27 +27,19 @@ impl Manager {
             resources: ResourceTracker::new(),
             replication: ReplicationController::new(replication_policy),
             tel: Telemetry::disabled(),
-            tracer: Tracer::disabled(),
         }
     }
 
-    /// Connects the control plane to a telemetry registry: placement
+    /// Connects the control plane to a telemetry handle: placement
     /// decisions are counted under `manager.placement.*`, control ticks
     /// under `manager.ticks_total`, and the replication controller records
-    /// its `replication.*` families.
+    /// its `replication.*` families. Placement installation is a
+    /// `manager.plan_and_install` trace (one `manager.install` scope per
+    /// store touched) and the controller traces its access/replicate
+    /// decisions.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
         self.replication.set_telemetry(tel);
-    }
-
-    /// Connects the control plane to a causal tracer: placement
-    /// installation records a `manager.plan_and_install` span tree (one
-    /// `install` child per store touched) and the replication controller
-    /// stamps its access/replicate decisions. Passing [`Tracer::disabled`]
-    /// detaches again.
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = tracer.clone();
-        self.replication.set_tracer(tracer);
     }
 
     /// Registers an application requirement ("app. reqs" in Fig. 3b).
@@ -78,12 +69,12 @@ impl Manager {
     pub fn plan_and_install(&self, stores: &mut [&mut DataStore]) -> usize {
         let plan = self.plan();
         self.tel.counter("manager.placement.plans_total").inc();
-        let mut root = self.tracer.root("manager.plan_and_install");
+        let mut root = self.tel.root("manager.plan_and_install");
         let mut cleared = 0u64;
         let installed: usize = stores
             .iter_mut()
             .map(|s| {
-                let mut span = root.child("install");
+                let mut scope = self.tel.scope("manager.install");
                 let n = if plan.installs.contains_key(s.name()) {
                     plan.apply_to(s)
                 } else {
@@ -93,17 +84,13 @@ impl Manager {
                     cleared += 1;
                     0
                 };
-                if span.is_recording() {
-                    span.annotate("store", s.name());
-                    span.add_records(n as u64);
-                }
+                scope.annotate("store", s.name());
+                scope.add_records(n as u64);
                 n
             })
             .sum();
-        if root.is_recording() {
-            root.annotate("installed", &installed.to_string());
-            root.annotate("cleared", &cleared.to_string());
-        }
+        root.annotate("installed", installed);
+        root.annotate("cleared", cleared);
         self.tel
             .counter("manager.placement.installs_total")
             .add(installed as u64);

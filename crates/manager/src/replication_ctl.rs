@@ -13,7 +13,7 @@ use megastream_flow::time::Timestamp;
 use megastream_netsim::topology::{Network, NodeId, TransferError};
 use megastream_replication::policy::ReplicationPolicy;
 use megastream_replication::tracker::AccessTracker;
-use megastream_telemetry::{Telemetry, Tracer};
+use megastream_telemetry::{Scope, Telemetry};
 
 /// Why [`ReplicationController::on_access`] could not serve an access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,7 +111,6 @@ pub struct ReplicationController {
     /// unavailable (the read itself still succeeded).
     placements_skipped: u64,
     tel: Telemetry,
-    tracer: Tracer,
 }
 
 impl ReplicationController {
@@ -130,25 +129,19 @@ impl ReplicationController {
             failovers: 0,
             placements_skipped: 0,
             tel: Telemetry::disabled(),
-            tracer: Tracer::disabled(),
         }
     }
 
     /// Connects the controller (and its access tracker) to a telemetry
-    /// registry: hit/miss counters, shipped and replication volumes, and
-    /// replica churn are recorded under `replication.*`.
+    /// handle: hit/miss counters, shipped and replication volumes, and
+    /// replica churn are recorded under `replication.*`. Every remote
+    /// access is a `replication.access` trace — a `replication.ship` scope
+    /// for the result transfer and, when the policy fires, a
+    /// `replication.replicate` scope stamping the placement decision
+    /// (partition, source, destination, volume).
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
         self.tracker.set_telemetry(tel);
-    }
-
-    /// Connects the controller to a causal tracer: every remote access
-    /// records a `replication.access` span tree — a `ship` child for the
-    /// result transfer and, when the policy fires, a `replicate` child
-    /// stamping the placement decision (partition, source, destination,
-    /// volume). Passing [`Tracer::disabled`] detaches again.
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = tracer.clone();
     }
 
     /// Registers a partition; returns its id.
@@ -201,9 +194,6 @@ impl ReplicationController {
         network: &mut Network,
         now: Timestamp,
     ) -> Result<Option<ReplicationOrder>, AccessError> {
-        // Records on drop, so every return path (local hit, failover,
-        // error) lands in the access-latency histogram.
-        let _access_timer = self.tel.timer("replication.access.micros");
         let info = self
             .partitions
             .get(partition)
@@ -225,11 +215,11 @@ impl ReplicationController {
         self.tel
             .counter("replication.shipped_bytes_total")
             .add(result_bytes);
-        let mut access_span = self.tracer.root("replication.access");
-        if access_span.is_recording() {
-            access_span.annotate("partition", &partition.to_string());
-            access_span.annotate("accessor", &accessor.to_string());
-        }
+        // Records on drop, so every remote return path (failover, error)
+        // lands in `replication.access.micros`.
+        let mut access = self.tel.root("replication.access");
+        access.annotate("partition", partition);
+        access.annotate("accessor", accessor);
         // Candidate sources in preference order: the owner, then every
         // replica (any copy can serve a read).
         let mut sources = vec![info.owner];
@@ -246,27 +236,21 @@ impl ReplicationController {
                 last_error = Some(TransferError::NodeDown(source));
                 continue;
             }
-            let mut ship = access_span.child("ship");
-            if ship.is_recording() {
-                ship.annotate("source", &source.to_string());
-            }
+            let mut ship = self.tel.scope("replication.ship");
+            ship.annotate("source", source);
             ship.add_bytes(result_bytes);
             match network.transfer(source, accessor, result_bytes, now) {
                 Ok(_) => {
                     if source != info.owner {
                         self.failovers += 1;
                         self.tel.counter("replication.failovers_total").inc();
-                        if access_span.is_recording() {
-                            access_span.annotate("failover", &source.to_string());
-                        }
+                        access.annotate("failover", source);
                     }
                     served_by = Some(source);
                     break;
                 }
                 Err(e) => {
-                    if ship.is_recording() {
-                        ship.annotate("error", &e.to_string());
-                    }
+                    ship.annotate("error", &e);
                     last_error = Some(e);
                 }
             }
@@ -286,23 +270,19 @@ impl ReplicationController {
             // down target or a transient transfer fault skips the replica
             // instead of failing the access.
             if !network.node_up(accessor, now) {
-                self.skip_placement(&mut access_span, "target node down");
+                self.skip_placement(&mut access, "target node down");
                 return Ok(None);
             }
-            let mut replicate = access_span.child("replicate");
-            if replicate.is_recording() {
-                replicate.annotate("from", &served_by.to_string());
-                replicate.annotate("to", &accessor.to_string());
-            }
+            let mut replicate = self.tel.scope("replication.replicate");
+            replicate.annotate("from", served_by);
+            replicate.annotate("to", accessor);
             replicate.add_bytes(info.size_bytes);
             match network.transfer(served_by, accessor, info.size_bytes, now) {
                 Ok(_) => {}
                 Err(e) if e.is_transient() => {
-                    if replicate.is_recording() {
-                        replicate.annotate("error", &e.to_string());
-                    }
+                    replicate.annotate("error", &e);
                     drop(replicate);
-                    self.skip_placement(&mut access_span, &e.to_string());
+                    self.skip_placement(&mut access, &e.to_string());
                     return Ok(None);
                 }
                 Err(e) => return Err(AccessError::Transfer(e)),
@@ -332,14 +312,12 @@ impl ReplicationController {
         Ok(None)
     }
 
-    fn skip_placement(&mut self, access_span: &mut megastream_telemetry::TraceSpan, why: &str) {
+    fn skip_placement(&mut self, access: &mut Scope, why: &str) {
         self.placements_skipped += 1;
         self.tel
             .counter("replication.placement_skipped_total")
             .inc();
-        if access_span.is_recording() {
-            access_span.annotate("placement_skipped", why);
-        }
+        access.annotate("placement_skipped", why);
     }
 
     /// Replication orders issued so far.

@@ -1,65 +1,35 @@
-//! Scoped-activity profiling: explicit call-path stacks aggregated into a
-//! flamegraph.
+//! Call-path profiling: scope stacks aggregated into a flamegraph.
 //!
 //! The paper's P4 property (self-adaptation) presumes the system can answer
-//! "where does the time go?" — not just *how long* a stage took (the span
-//! histograms already answer that) but *under which caller*. This module
-//! adds that third observability axis next to metrics ([`crate::Telemetry`])
-//! and causal traces ([`crate::Tracer`]):
+//! "where does the time go?" — not just *how long* a stage took (the scope
+//! histograms already answer that) but *under which caller*. With a
+//! profile sink attached ([`Telemetry::with_profiling`](crate::Telemetry::with_profiling)),
+//! every finished [`Scope`](crate::Scope) folds its inclusive and
+//! exclusive time into an aggregate keyed by its full call path (`a;b;c`),
+//! the `;`-joined names of the scopes open on its thread:
 //!
-//! * A [`Profiler`] is a cheap cloneable handle, default-**disabled** like
-//!   the other two: every instrumentation site costs exactly one branch
-//!   when profiling is off, and the clock is never read.
-//! * [`Profiler::activity`] pushes a named frame onto an explicit
-//!   **per-thread activity stack** and returns an [`ActivityGuard`]; when
-//!   the guard drops, the frame pops and its inclusive/exclusive time is
-//!   folded into an aggregate keyed by the full call path (`a;b;c`).
 //! * [`ProfileSnapshot::render_collapsed`] exports the aggregate in the
 //!   collapsed-stack format `flamegraph.pl` consumes (`path count`, one
 //!   line per path, counts in exclusive microseconds);
-//!   [`ProfileSnapshot::render_top`] is the human-readable top-N table.
-//!
-//! All time is measured through [`crate::clock::Stopwatch`] — relative
-//! durations only, so profiling can never leak an absolute timestamp into
-//! a result path.
+//! * [`ProfileSnapshot::render_top`] is the human-readable top-N table.
 //!
 //! ```
-//! use megastream_telemetry::Profiler;
+//! use megastream_telemetry::Telemetry;
 //!
-//! let prof = Profiler::new();
+//! let tel = Telemetry::new().with_profiling();
 //! {
-//!     let _q = prof.activity("query");
-//!     let _p = prof.activity("parse");
+//!     let _q = tel.scope("query.run");
+//!     let _p = tel.scope("query.parse");
 //!     std::thread::sleep(std::time::Duration::from_millis(2));
-//! } // guards drop: paths "query" and "query;parse" are recorded
-//! let snap = prof.snapshot();
+//! } // scopes drop: paths "query.run" and "query.run;query.parse" are recorded
+//! let snap = tel.profile_snapshot();
 //! assert_eq!(snap.activities.len(), 2);
-//! assert!(snap.activities.iter().any(|a| a.path == "query;parse"));
-//! assert!(snap.render_collapsed().contains("query;parse "));
+//! assert!(snap.activities.iter().any(|a| a.path == "query.run;query.parse"));
+//! assert!(snap.render_collapsed().contains("query.run;query.parse "));
 //! ```
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
-
-use crate::clock::{self, Stopwatch};
-
-thread_local! {
-    /// The explicit activity stack of this thread. One stack per thread —
-    /// like a call stack — shared by every enabled [`Profiler`] handle, so
-    /// nested activities compose into one path even across components.
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A pushed-but-not-yet-popped activity on a thread's stack.
-struct Frame {
-    /// Full `;`-joined path including this activity.
-    path: String,
-    /// Inclusive microseconds accumulated by already-finished children,
-    /// subtracted from this frame's inclusive time to get exclusive time.
-    child_micros: u64,
-}
+use std::sync::Mutex;
 
 /// Aggregate for one call path.
 #[derive(Debug, Default, Clone, Copy)]
@@ -69,159 +39,42 @@ struct PathAgg {
     exclusive_micros: u64,
 }
 
-/// Shared aggregation state behind an enabled [`Profiler`].
+/// The profile sink: per-path aggregates behind one lock.
 #[derive(Debug, Default)]
-struct ProfileStore {
+pub(crate) struct ProfileStore {
     agg: Mutex<BTreeMap<String, PathAgg>>,
 }
 
 impl ProfileStore {
-    fn record(&self, path: &str, inclusive: u64, exclusive: u64) {
-        let mut agg = match self.agg.lock() {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, PathAgg>> {
+        match self.agg.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
-        };
+        }
+    }
+
+    pub(crate) fn record(&self, path: &str, inclusive: u64, exclusive: u64) {
+        let mut agg = self.lock();
         // BTreeMap keeps exports deterministic in path order.
         let e = agg.entry(path.to_owned()).or_default();
         e.count += 1;
         e.inclusive_micros += inclusive;
         e.exclusive_micros += exclusive;
     }
-}
-
-/// The profiling handle threaded through the pipeline. Cloning is cheap
-/// (an `Option<Arc>` clone); `Default` is the *disabled* handle, so
-/// instrumented code pays one branch — and never reads the clock — unless
-/// a live profiler is installed.
-#[derive(Debug, Clone, Default)]
-pub struct Profiler(Option<Arc<ProfileStore>>);
-
-impl Profiler {
-    /// Creates an enabled profiler with an empty aggregate.
-    pub fn new() -> Self {
-        Profiler(Some(Arc::new(ProfileStore::default())))
-    }
-
-    /// The null handle: [`Profiler::activity`] returns inert guards.
-    pub fn disabled() -> Self {
-        Profiler(None)
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Pushes activity `name` onto this thread's stack and returns the
-    /// guard that pops it. Nested calls extend the path with `;`
-    /// (collapsed-stack convention). Disabled handles return an inert
-    /// guard without touching the stack or the clock.
-    pub fn activity(&self, name: &str) -> ActivityGuard {
-        let Some(store) = &self.0 else {
-            return ActivityGuard {
-                store: None,
-                start: None,
-                path: String::new(),
-                _not_send: PhantomData,
-            };
-        };
-        let path = STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let path = match s.last() {
-                Some(parent) => format!("{};{name}", parent.path),
-                None => name.to_owned(),
-            };
-            s.push(Frame {
-                path: path.clone(),
-                child_micros: 0,
-            });
-            path
-        });
-        ActivityGuard {
-            store: Some(Arc::clone(store)),
-            start: Some(clock::start()),
-            path,
-            _not_send: PhantomData,
-        }
-    }
 
     /// Point-in-time copy of the aggregate, sorted by path.
-    pub fn snapshot(&self) -> ProfileSnapshot {
-        let activities = match &self.0 {
-            None => Vec::new(),
-            Some(store) => {
-                let agg = match store.agg.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                agg.iter()
-                    .map(|(path, a)| ActivityStat {
-                        path: path.clone(),
-                        count: a.count,
-                        inclusive_micros: a.inclusive_micros,
-                        exclusive_micros: a.exclusive_micros,
-                    })
-                    .collect()
-            }
-        };
+    pub(crate) fn snapshot(&self) -> ProfileSnapshot {
+        let activities = self
+            .lock()
+            .iter()
+            .map(|(path, a)| ActivityStat {
+                path: path.clone(),
+                count: a.count,
+                inclusive_micros: a.inclusive_micros,
+                exclusive_micros: a.exclusive_micros,
+            })
+            .collect();
         ProfileSnapshot { activities }
-    }
-
-    /// Discards all aggregated paths (the per-thread stacks of live guards
-    /// are untouched).
-    pub fn clear(&self) {
-        if let Some(store) = &self.0 {
-            let mut agg = match store.agg.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            agg.clear();
-        }
-    }
-}
-
-/// RAII frame on the per-thread activity stack: created by
-/// [`Profiler::activity`], pops and records on drop.
-///
-/// Deliberately `!Send`: a frame must pop on the thread that pushed it.
-/// Worker threads open their own activities (their stacks start fresh, so
-/// their paths are rooted at the worker's first activity).
-#[derive(Debug)]
-pub struct ActivityGuard {
-    store: Option<Arc<ProfileStore>>,
-    start: Option<Stopwatch>,
-    path: String,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for ActivityGuard {
-    fn drop(&mut self) {
-        let Some(store) = self.store.take() else {
-            return;
-        };
-        let inclusive = match &self.start {
-            Some(sw) => sw.elapsed_micros(),
-            None => 0,
-        };
-        let child_micros = STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            // Pop until our own frame surfaces: guards dropped out of
-            // order (e.g. via `mem::drop` shuffling) discard the orphaned
-            // deeper frames instead of corrupting the stack.
-            let mine = loop {
-                match s.pop() {
-                    Some(f) if f.path == self.path => break Some(f),
-                    Some(_) => continue,
-                    None => break None,
-                }
-            };
-            if let Some(parent) = s.last_mut() {
-                parent.child_micros += inclusive;
-            }
-            mine.map(|f| f.child_micros).unwrap_or(0)
-        });
-        let exclusive = inclusive.saturating_sub(child_micros);
-        store.record(&self.path, inclusive, exclusive);
     }
 }
 
@@ -309,57 +162,52 @@ impl ProfileSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ScopeParent, Telemetry};
 
-    #[test]
-    fn disabled_profiler_is_inert() {
-        let prof = Profiler::disabled();
-        assert!(!prof.is_enabled());
-        {
-            let _a = prof.activity("a");
-            let _b = prof.activity("b");
-        }
-        assert!(prof.snapshot().is_empty());
-        assert_eq!(prof.snapshot().render_collapsed(), "");
+    fn profiled() -> Telemetry {
+        Telemetry::new().with_profiling()
     }
 
-    #[test]
-    fn default_is_disabled() {
-        assert!(!Profiler::default().is_enabled());
+    fn paths(tel: &Telemetry) -> Vec<String> {
+        let snap = tel.profile_snapshot();
+        snap.activities.into_iter().map(|a| a.path).collect()
     }
 
     #[test]
     fn nesting_builds_semicolon_paths() {
-        let prof = Profiler::new();
+        let tel = profiled();
         {
-            let _q = prof.activity("query");
+            let _q = tel.scope("query");
             {
-                let _p = prof.activity("parse");
+                let _p = tel.scope("parse");
             }
             {
-                let _m = prof.activity("merge");
-                let _i = prof.activity("inner");
+                let _m = tel.scope("merge");
+                let _i = tel.scope("inner");
             }
         }
-        let snap = prof.snapshot();
-        let paths: Vec<&str> = snap.activities.iter().map(|a| a.path.as_str()).collect();
         assert_eq!(
-            paths,
+            paths(&tel),
             vec!["query", "query;merge", "query;merge;inner", "query;parse"]
         );
-        assert!(snap.activities.iter().all(|a| a.count == 1));
+        assert!(tel
+            .profile_snapshot()
+            .activities
+            .iter()
+            .all(|a| a.count == 1));
     }
 
     #[test]
     fn exclusive_excludes_children_inclusive_does_not() {
-        let prof = Profiler::new();
+        let tel = profiled();
         {
-            let _outer = prof.activity("outer");
+            let _outer = tel.scope("outer");
             {
-                let _inner = prof.activity("inner");
+                let _inner = tel.scope("inner");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
-        let snap = prof.snapshot();
+        let snap = tel.profile_snapshot();
         let outer = snap
             .activities
             .iter()
@@ -373,30 +221,33 @@ mod tests {
         assert!(inner.inclusive_micros >= 2000);
         assert!(outer.inclusive_micros >= inner.inclusive_micros);
         // Outer self time excludes the slept-in child.
-        assert!(outer.exclusive_micros <= outer.inclusive_micros - inner.inclusive_micros + 1000);
+        assert_eq!(
+            outer.exclusive_micros,
+            outer.inclusive_micros - inner.inclusive_micros
+        );
         assert_eq!(inner.inclusive_micros, inner.exclusive_micros);
     }
 
     #[test]
     fn repeated_paths_aggregate() {
-        let prof = Profiler::new();
+        let tel = profiled();
         for _ in 0..5 {
-            let _a = prof.activity("tick");
+            let _a = tel.scope("tick");
         }
-        let snap = prof.snapshot();
+        let snap = tel.profile_snapshot();
         assert_eq!(snap.activities.len(), 1);
         assert_eq!(snap.activities[0].count, 5);
     }
 
     #[test]
     fn collapsed_stack_lines_parse() {
-        let prof = Profiler::new();
+        let tel = profiled();
         {
-            let _a = prof.activity("a");
-            let _b = prof.activity("b");
+            let _a = tel.scope("a");
+            let _b = tel.scope("b");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        for line in prof.snapshot().render_collapsed().lines() {
+        for line in tel.profile_snapshot().render_collapsed().lines() {
             let (path, count) = line.rsplit_once(' ').expect("space-separated");
             assert!(!path.is_empty());
             assert!(path.split(';').all(|f| !f.is_empty()), "no empty frames");
@@ -405,59 +256,50 @@ mod tests {
     }
 
     #[test]
-    fn threads_have_independent_stacks() {
-        let prof = Profiler::new();
-        let _main = prof.activity("main");
-        std::thread::scope(|scope| {
-            let p = prof.clone();
-            scope.spawn(move || {
-                // The worker's stack starts empty: no "main;" prefix.
-                let _w = p.activity("worker");
+    fn worker_paths_continue_only_through_an_entered_parent() {
+        let tel = profiled();
+        let main = tel.scope("main");
+        let parent = ScopeParent::current();
+        std::thread::scope(|s| {
+            // A fresh worker stack starts empty: no "main;" prefix.
+            s.spawn(|| tel.scope("worker").finish());
+            s.spawn(|| {
+                let _entered = parent.enter();
+                tel.scope("joined").finish();
             });
         });
-        drop(_main);
-        let snap = prof.snapshot();
-        let paths: Vec<&str> = snap.activities.iter().map(|a| a.path.as_str()).collect();
-        assert_eq!(paths, vec!["main", "worker"]);
+        drop(main);
+        assert_eq!(paths(&tel), vec!["main", "main;joined", "worker"]);
     }
 
     #[test]
     fn out_of_order_drop_does_not_corrupt_stack() {
-        let prof = Profiler::new();
-        let a = prof.activity("a");
-        let b = prof.activity("b");
+        let tel = profiled();
+        let a = tel.scope("a");
+        let b = tel.scope("b");
         drop(a); // drops before b: b's frame is discarded from the stack
-        drop(b);
+        let c = tel.scope("c");
+        drop(b); // must not pop c's frame
         {
-            let _c = prof.activity("c");
+            let _d = tel.scope("d");
         }
-        let snap = prof.snapshot();
-        // "c" is a fresh root, not nested under a stale frame.
-        assert!(snap.activities.iter().any(|x| x.path == "c"));
-    }
-
-    #[test]
-    fn clear_resets_aggregate() {
-        let prof = Profiler::new();
-        {
-            let _a = prof.activity("a");
-        }
-        assert!(!prof.snapshot().is_empty());
-        prof.clear();
-        assert!(prof.snapshot().is_empty());
+        drop(c);
+        // "c" is a fresh root, not nested under a stale frame, and "d"
+        // still nests under it.
+        let paths = paths(&tel);
+        assert!(paths.contains(&"c".to_owned()), "{paths:?}");
+        assert!(paths.contains(&"c;d".to_owned()), "{paths:?}");
     }
 
     #[test]
     fn top_table_ranks_by_self_time() {
-        let prof = Profiler::new();
+        let tel = profiled();
+        tel.scope("fast").finish();
         {
-            let _fast = prof.activity("fast");
-        }
-        {
-            let _slow = prof.activity("slow");
+            let _slow = tel.scope("slow");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let top = prof.snapshot().render_top(1);
+        let top = tel.profile_snapshot().render_top(1);
         assert!(top.contains("slow"));
         assert!(!top.contains("fast"));
     }

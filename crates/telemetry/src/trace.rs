@@ -7,45 +7,42 @@
 //!
 //! * A **trace** is one causal episode (a FlowQL query, one
 //!   `hierarchy.pump` pass, one replication decision), identified by a
-//!   [`TraceId`].
-//! * A **span** is one timed stage inside it, identified by a [`SpanId`]
-//!   and linked to its parent span. Spans carry string attributes plus
-//!   dedicated byte/record payload annotations, so a span tree doubles as
-//!   a lineage tree ("this merge consumed 3 summaries, 12 kB").
-//! * A [`SpanContext`] is the copyable `(trace, span)` pair that crosses
-//!   component boundaries: a child store stamps its export span's context
-//!   onto the transfer, and the parent's re-aggregation opens its span
-//!   *under* that context — the two ends of the link share one tree.
+//!   [`TraceId`] and opened by [`Telemetry::root`](crate::Telemetry::root).
+//! * A **span** is one timed stage inside it — one [`Scope`](crate::Scope)
+//!   — identified by a [`SpanId`] and linked to its parent span. Spans
+//!   carry string attributes plus dedicated byte/record payload
+//!   annotations, so a span tree doubles as a lineage tree ("this merge
+//!   consumed 3 summaries, 12 kB").
+//! * A [`SpanContext`] is the `(trace, span)` pair a scope's children
+//!   link to; a [`ScopeParent`](crate::ScopeParent) carries it to worker
+//!   threads.
 //!
-//! The discipline matches the metrics layer: [`Tracer`] is an
-//! `Option<Arc<TraceStore>>`; the default (disabled) handle makes every
-//! span operation a single branch — no clock reads, no allocation. With a
-//! live store, **head-based sampling** decides once per trace root
-//! (always / never / every-Nth) and unsampled traces cost the same single
-//! branch downstream. Finished spans land in a lock-sharded ring buffer
-//! ([`TraceStore`]) whose oldest spans are overwritten under pressure.
+//! **Head-based sampling** decides once per trace root (always / never /
+//! every-Nth); the scopes of an unsampled trace record no spans. Finished
+//! spans land in a lock-sharded ring buffer ([`TraceStore`]) whose oldest
+//! spans are overwritten under pressure.
 //!
 //! ```
-//! use megastream_telemetry::trace::Tracer;
+//! use megastream_telemetry::{SamplePolicy, Telemetry};
 //!
-//! let tracer = Tracer::new();
+//! let tel = Telemetry::new().with_tracing(SamplePolicy::Always);
 //! {
-//!     let mut root = tracer.root("query");
-//!     let mut fanout = root.child("fanout");
+//!     let _query = tel.root("query.run");
+//!     let mut fanout = tel.scope("query.fanout");
 //!     fanout.annotate("location", "region-0");
 //!     fanout.add_bytes(1024);
 //!     fanout.finish();
-//!     root.child("merge").finish();
+//!     tel.scope("query.merge").finish();
 //! }
-//! let snap = tracer.snapshot();
+//! let snap = tel.trace_snapshot();
 //! assert_eq!(snap.spans.len(), 3);
-//! assert!(snap.render_tree().contains("merge"));
+//! assert!(snap.render_tree().contains("query.merge"));
 //! assert!(snap.render_chrome_json().starts_with("{\"traceEvents\":["));
 //! ```
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::clock::{self, Stopwatch};
 
@@ -191,7 +188,7 @@ impl TraceStore {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    fn sample_decision(&self) -> bool {
+    pub(crate) fn sample_decision(&self) -> bool {
         let seen = self.roots_seen.fetch_add(1, Ordering::Relaxed);
         let keep = match self.policy {
             SamplePolicy::Always => true,
@@ -205,19 +202,19 @@ impl TraceStore {
         keep
     }
 
-    fn alloc_trace(&self) -> TraceId {
+    pub(crate) fn alloc_trace(&self) -> TraceId {
         TraceId(self.next_trace.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn alloc_span(&self) -> SpanId {
+    pub(crate) fn alloc_span(&self) -> SpanId {
         SpanId(self.next_span.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn micros_since_epoch(&self, at: Stopwatch) -> u64 {
+    pub(crate) fn micros_since_epoch(&self, at: Stopwatch) -> u64 {
         at.micros_since(&self.epoch)
     }
 
-    fn push(&self, record: SpanRecord) {
+    pub(crate) fn push(&self, record: SpanRecord) {
         let shard = (record.id.0 as usize) % SHARD_COUNT;
         let mut shard = match self.shards[shard].lock() {
             Ok(guard) => guard,
@@ -263,237 +260,6 @@ impl TraceStore {
 impl Default for TraceStore {
     fn default() -> Self {
         TraceStore::new()
-    }
-}
-
-/// The pipeline-facing tracing handle: either a live shared [`TraceStore`]
-/// or a null handle whose every operation is a no-op. `Default` is the
-/// *disabled* handle, mirroring [`crate::Telemetry`].
-#[derive(Debug, Clone, Default)]
-pub struct Tracer(Option<Arc<TraceStore>>);
-
-impl Tracer {
-    /// Creates an enabled, always-sampling handle with a fresh store.
-    pub fn new() -> Self {
-        Tracer(Some(Arc::new(TraceStore::new())))
-    }
-
-    /// Creates an enabled handle sampling one of every `n` trace roots.
-    pub fn sampled_every(n: u64) -> Self {
-        Tracer(Some(Arc::new(TraceStore::with_policy_and_capacity(
-            SamplePolicy::EveryNth(n),
-            DEFAULT_TRACE_CAPACITY,
-        ))))
-    }
-
-    /// The null handle: roots and spans are no-ops.
-    pub fn disabled() -> Self {
-        Tracer(None)
-    }
-
-    /// Creates a handle sharing an existing store.
-    pub fn with_store(store: Arc<TraceStore>) -> Self {
-        Tracer(Some(store))
-    }
-
-    /// Whether this handle records into a live store.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The underlying store, if enabled.
-    pub fn store(&self) -> Option<&Arc<TraceStore>> {
-        self.0.as_ref()
-    }
-
-    /// Opens a new trace root. The head-based sampling decision is made
-    /// here: an unsampled (or disabled) root returns a null span, and all
-    /// of its descendants stay null for one branch each.
-    pub fn root(&self, name: &str) -> TraceSpan {
-        match &self.0 {
-            None => TraceSpan::null(),
-            Some(store) => {
-                if !store.sample_decision() {
-                    return TraceSpan::null();
-                }
-                let trace = store.alloc_trace();
-                TraceSpan::live(Arc::clone(store), trace, None, name)
-            }
-        }
-    }
-
-    /// Opens a span *inside an existing trace*, linked under `ctx`. This is
-    /// the cross-component half of propagation: the caller received the
-    /// context stamped onto a payload (an exported summary, a replication
-    /// order) and files its own work under it. No sampling decision is
-    /// made — holding a context means the trace was sampled.
-    pub fn span_in(&self, ctx: SpanContext, name: &str) -> TraceSpan {
-        match &self.0 {
-            None => TraceSpan::null(),
-            Some(store) => TraceSpan::live(Arc::clone(store), ctx.trace, Some(ctx.span), name),
-        }
-    }
-
-    /// Point-in-time copy of all finished spans (empty when disabled).
-    pub fn snapshot(&self) -> TraceSnapshot {
-        match &self.0 {
-            None => TraceSnapshot::default(),
-            Some(store) => store.snapshot(),
-        }
-    }
-
-    /// Discards all stored spans (no-op when disabled).
-    pub fn clear(&self) {
-        if let Some(store) = &self.0 {
-            store.clear();
-        }
-    }
-
-    /// Convenience: [`TraceSnapshot::render_tree`] of the current state.
-    pub fn render_tree(&self) -> String {
-        self.snapshot().render_tree()
-    }
-
-    /// Convenience: [`TraceSnapshot::render_chrome_json`] of the current
-    /// state.
-    pub fn render_chrome_json(&self) -> String {
-        self.snapshot().render_chrome_json()
-    }
-}
-
-/// An active span. Finished (explicitly or on drop) it files a
-/// [`SpanRecord`] into the owning store. A null span — from a disabled
-/// tracer or an unsampled trace — holds no store and never reads the
-/// clock; every method on it is a single branch.
-#[derive(Debug)]
-pub struct TraceSpan {
-    store: Option<Arc<TraceStore>>,
-    trace: TraceId,
-    id: SpanId,
-    parent: Option<SpanId>,
-    name: String,
-    start: Option<Stopwatch>,
-    bytes: u64,
-    records: u64,
-    attrs: Vec<(String, String)>,
-    finished: bool,
-}
-
-impl TraceSpan {
-    /// A detached span that records nothing — the explicit-argument
-    /// counterpart of [`Tracer::disabled`], for APIs that thread a parent
-    /// span through call chains unconditionally.
-    pub fn disabled() -> Self {
-        TraceSpan::null()
-    }
-
-    fn null() -> Self {
-        TraceSpan {
-            store: None,
-            trace: TraceId(0),
-            id: SpanId(0),
-            parent: None,
-            name: String::new(),
-            start: None,
-            bytes: 0,
-            records: 0,
-            attrs: Vec::new(),
-            finished: true,
-        }
-    }
-
-    fn live(store: Arc<TraceStore>, trace: TraceId, parent: Option<SpanId>, name: &str) -> Self {
-        let id = store.alloc_span();
-        TraceSpan {
-            store: Some(store),
-            trace,
-            id,
-            parent,
-            name: name.to_owned(),
-            start: Some(clock::start()),
-            bytes: 0,
-            records: 0,
-            attrs: Vec::new(),
-            finished: false,
-        }
-    }
-
-    /// Whether this span records anywhere (false for null spans).
-    pub fn is_recording(&self) -> bool {
-        self.store.is_some()
-    }
-
-    /// The context to stamp onto payloads so downstream work links here.
-    /// `None` for null spans — callers propagate the `Option` as-is.
-    pub fn context(&self) -> Option<SpanContext> {
-        self.store.as_ref().map(|_| SpanContext {
-            trace: self.trace,
-            span: self.id,
-        })
-    }
-
-    /// Opens a child span. Children of null spans are null.
-    pub fn child(&self, name: &str) -> TraceSpan {
-        match &self.store {
-            None => TraceSpan::null(),
-            Some(store) => TraceSpan::live(Arc::clone(store), self.trace, Some(self.id), name),
-        }
-    }
-
-    /// Attaches a string attribute (no-op on null spans).
-    pub fn annotate(&mut self, key: &str, value: &str) {
-        if self.store.is_some() {
-            self.attrs.push((key.to_owned(), value.to_owned()));
-        }
-    }
-
-    /// Adds payload bytes to this span's annotation.
-    pub fn add_bytes(&mut self, n: u64) {
-        if self.store.is_some() {
-            self.bytes += n;
-        }
-    }
-
-    /// Adds payload records/summaries to this span's annotation.
-    pub fn add_records(&mut self, n: u64) {
-        if self.store.is_some() {
-            self.records += n;
-        }
-    }
-
-    /// Ends the span now, returning the elapsed microseconds (0 for null
-    /// spans).
-    pub fn finish(mut self) -> u64 {
-        self.record()
-    }
-
-    fn record(&mut self) -> u64 {
-        if self.finished {
-            return 0;
-        }
-        self.finished = true;
-        let (Some(store), Some(start)) = (self.store.take(), self.start) else {
-            return 0;
-        };
-        let duration = start.elapsed_micros();
-        store.push(SpanRecord {
-            trace: self.trace,
-            id: self.id,
-            parent: self.parent,
-            name: std::mem::take(&mut self.name),
-            start_micros: store.micros_since_epoch(start),
-            duration_micros: duration,
-            bytes: self.bytes,
-            records: self.records,
-            attrs: std::mem::take(&mut self.attrs),
-        });
-        duration
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        self.record();
     }
 }
 
@@ -656,44 +422,38 @@ impl TraceSnapshot {
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::{ScopeParent, Telemetry};
+    use std::sync::Arc;
 
-    #[test]
-    fn disabled_tracer_costs_nothing_and_records_nothing() {
-        let tracer = Tracer::disabled();
-        assert!(!tracer.is_enabled());
-        let mut root = tracer.root("r");
-        assert!(!root.is_recording());
-        assert!(root.context().is_none());
-        root.annotate("k", "v");
-        root.add_bytes(10);
-        let child = root.child("c");
-        assert!(!child.is_recording());
-        drop(child);
-        assert_eq!(root.finish(), 0);
-        assert!(tracer.snapshot().is_empty());
-        assert_eq!(tracer.render_tree(), "");
+    fn traced() -> Telemetry {
+        Telemetry::new().with_tracing(SamplePolicy::Always)
+    }
+
+    /// A handle whose trace store holds one span per shard.
+    fn tiny_ring() -> Telemetry {
+        Telemetry::new().with_trace_store(Arc::new(TraceStore::with_policy_and_capacity(
+            SamplePolicy::Always,
+            SHARD_COUNT,
+        )))
     }
 
     #[test]
     fn spans_link_parent_to_child() {
-        let tracer = Tracer::new();
-        let root = tracer.root("root");
-        let root_ctx = root.context().unwrap();
-        let mut child = root.child("child");
+        let tel = traced();
+        let root = tel.root("root");
+        let mut child = tel.scope("child");
         child.annotate("k", "v");
         child.add_bytes(64);
         child.add_records(2);
-        let grandchild = child.child("grandchild");
-        grandchild.finish();
+        tel.scope("grandchild").finish();
         child.finish();
         root.finish();
-        let snap = tracer.snapshot();
+        let snap = tel.trace_snapshot();
         assert_eq!(snap.spans.len(), 3);
         let root_rec = &snap.spans_named("root")[0];
         let child_rec = &snap.spans_named("child")[0];
         let grand_rec = &snap.spans_named("grandchild")[0];
         assert_eq!(root_rec.parent, None);
-        assert_eq!(root_rec.id, root_ctx.span);
         assert_eq!(child_rec.parent, Some(root_rec.id));
         assert_eq!(grand_rec.parent, Some(child_rec.id));
         assert_eq!(child_rec.attr("k"), Some("v"));
@@ -705,36 +465,51 @@ mod tests {
     }
 
     #[test]
-    fn span_in_links_across_components() {
-        let tracer = Tracer::new();
-        let export = tracer.root("export");
-        let ctx = export.context().unwrap();
-        // "The other side": a different handle sharing the same store.
-        let other = Tracer::with_store(std::sync::Arc::clone(tracer.store().unwrap()));
-        other.span_in(ctx, "absorb").finish();
-        export.finish();
-        let snap = tracer.snapshot();
+    fn scopes_outside_a_trace_record_no_span() {
+        let tel = traced();
+        let scope = tel.scope("loose");
+        assert!(!scope.is_recording());
+        scope.finish();
+        assert!(tel.trace_snapshot().is_empty());
+        assert_eq!(tel.snapshot().histogram("loose.micros").unwrap().count, 1);
+    }
+
+    #[test]
+    fn entered_parent_links_a_worker_thread_into_the_trace() {
+        let tel = traced();
+        let root = tel.root("export");
+        let parent = ScopeParent::current();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _entered = parent.enter();
+                tel.scope("absorb").finish();
+            });
+            // A worker that does not enter the parent starts outside it.
+            s.spawn(|| tel.scope("stray").finish());
+        });
+        root.finish();
+        let snap = tel.trace_snapshot();
+        let export = &snap.spans_named("export")[0];
         let absorb = &snap.spans_named("absorb")[0];
-        assert_eq!(absorb.trace, ctx.trace);
-        assert_eq!(absorb.parent, Some(ctx.span));
+        assert_eq!(absorb.trace, export.trace);
+        assert_eq!(absorb.parent, Some(export.id));
+        assert!(snap.spans_named("stray").is_empty());
     }
 
     #[test]
     fn head_sampling_keeps_every_nth_trace() {
-        let tracer = Tracer::sampled_every(4);
+        let tel = Telemetry::new().with_tracing(SamplePolicy::EveryNth(4));
         let mut recorded = 0;
         for _ in 0..16 {
-            let root = tracer.root("r");
+            let root = tel.root("r");
+            // Children of sampled roots record; of unsampled, don't.
+            assert_eq!(tel.scope("c").is_recording(), root.is_recording());
             if root.is_recording() {
                 recorded += 1;
-                // Children of sampled roots record; of unsampled, don't.
-                assert!(root.child("c").is_recording());
-            } else {
-                assert!(!root.child("c").is_recording());
             }
         }
         assert_eq!(recorded, 4);
-        let snap = tracer.snapshot();
+        let snap = tel.trace_snapshot();
         assert_eq!(snap.roots_seen, 16);
         assert_eq!(snap.roots_sampled, 4);
         assert_eq!(snap.spans.len(), 8);
@@ -743,15 +518,11 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest_and_counts() {
-        let store = Arc::new(TraceStore::with_policy_and_capacity(
-            SamplePolicy::Always,
-            SHARD_COUNT, // one span per shard
-        ));
-        let tracer = Tracer::with_store(store);
+        let tel = tiny_ring();
         for _ in 0..3 * SHARD_COUNT as u64 {
-            tracer.root("r").finish();
+            tel.root("r").finish();
         }
-        let snap = tracer.snapshot();
+        let snap = tel.trace_snapshot();
         assert_eq!(snap.spans.len(), SHARD_COUNT);
         assert_eq!(snap.dropped, 2 * SHARD_COUNT as u64);
         // The survivors are the newest spans.
@@ -760,26 +531,26 @@ mod tests {
 
     #[test]
     fn clear_empties_the_ring() {
-        let tracer = Tracer::new();
-        tracer.root("r").finish();
-        assert!(!tracer.snapshot().is_empty());
-        tracer.clear();
-        assert!(tracer.snapshot().is_empty());
+        let tel = traced();
+        tel.root("r").finish();
+        assert!(!tel.trace_snapshot().is_empty());
+        tel.clear_traces();
+        assert!(tel.trace_snapshot().is_empty());
     }
 
     #[test]
     fn tree_render_shows_structure_and_annotations() {
-        let tracer = Tracer::new();
-        let mut root = tracer.root("query");
+        let tel = traced();
+        let mut root = tel.root("query");
         root.annotate("flowql", "SELECT QUERY FROM ALL");
-        let mut a = root.child("fanout");
+        let mut a = tel.scope("fanout");
         a.annotate("location", "region-0");
         a.add_bytes(123);
         a.add_records(3);
         a.finish();
-        root.child("merge").finish();
+        tel.scope("merge").finish();
         root.finish();
-        let text = tracer.render_tree();
+        let text = tel.trace_snapshot().render_tree();
         assert!(text.contains("trace 1 (3 spans)"));
         assert!(text.contains("query"));
         assert!(text.contains("├─ fanout") || text.contains("└─ fanout"));
@@ -791,32 +562,28 @@ mod tests {
     #[test]
     fn orphaned_spans_render_as_roots() {
         // A parent that fell out of the ring must not hide its children.
-        let store = Arc::new(TraceStore::with_policy_and_capacity(
-            SamplePolicy::Always,
-            SHARD_COUNT,
-        ));
-        let tracer = Tracer::with_store(Arc::clone(&store));
-        let root = tracer.root("will-be-dropped");
-        let ctx = root.context().unwrap();
+        let tel = tiny_ring();
+        let root = tel.root("will-be-dropped");
+        let orphan = tel.scope("orphan");
         root.finish();
         for _ in 0..SHARD_COUNT as u64 {
-            tracer.root("filler").finish();
+            tel.root("filler").finish();
         }
-        tracer.span_in(ctx, "orphan").finish();
-        let text = tracer.render_tree();
+        orphan.finish();
+        let text = tel.trace_snapshot().render_tree();
         assert!(text.contains("orphan"), "orphan missing from:\n{text}");
     }
 
     #[test]
     fn chrome_export_is_valid_and_complete() {
-        let tracer = Tracer::new();
-        let mut root = tracer.root("query");
+        let tel = traced();
+        let mut root = tel.root("query");
         root.annotate("flowql", "SELECT \"x\"");
-        let mut child = root.child("merge");
+        let mut child = tel.scope("merge");
         child.add_bytes(42);
         child.finish();
         root.finish();
-        let json_text = tracer.render_chrome_json();
+        let json_text = tel.trace_snapshot().render_chrome_json();
         let parsed = Json::parse(&json_text).expect("chrome export must be valid JSON");
         let events = parsed
             .get("traceEvents")
@@ -858,12 +625,12 @@ mod tests {
 
     #[test]
     fn drop_finishes_unfinished_spans() {
-        let tracer = Tracer::new();
+        let tel = traced();
         {
-            let root = tracer.root("r");
-            let _child = root.child("c");
+            let _root = tel.root("r");
+            let _child = tel.scope("c");
             // both dropped here
         }
-        assert_eq!(tracer.snapshot().spans.len(), 2);
+        assert_eq!(tel.trace_snapshot().spans.len(), 2);
     }
 }

@@ -20,7 +20,7 @@ use std::io::{self, BufRead, Write};
 use megastream::flowstream::{Flowstream, FlowstreamConfig};
 use megastream::ops::OpsPlane;
 use megastream_flow::time::{TimeDelta, Timestamp};
-use megastream_telemetry::{Profiler, Telemetry, Tracer};
+use megastream_telemetry::{SamplePolicy, Telemetry};
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};
 
 const HELP: &str = "\
@@ -43,20 +43,14 @@ fn main() {
     let trace = std::env::args().any(|a| a == "--trace");
     // Build a deployment worth querying: 2 regions × 4 routers, 4 minutes.
     eprintln!("generating trace and building flowstream (2 regions x 4 routers)...");
-    let tracer = if trace {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
-    // Telemetry and the profiler are always on in the shell so `:health`
-    // / `:metrics` / `:profile` have something to show; the ops plane
+    // Metrics and profiling are always on in the shell so `:health` /
+    // `:metrics` / `:profile` have something to show; the ops plane
     // samples once per simulated second.
-    let tel = Telemetry::new();
-    let profiler = Profiler::new();
-    let mut fs = Flowstream::new(2, 4, FlowstreamConfig::default())
-        .with_telemetry(&tel)
-        .with_tracer(&tracer)
-        .with_profiler(&profiler);
+    let mut tel = Telemetry::new().with_profiling();
+    if trace {
+        tel = tel.with_tracing(SamplePolicy::Always);
+    }
+    let mut fs = Flowstream::new(2, 4, FlowstreamConfig::default()).with_telemetry(&tel);
     let mut ops = OpsPlane::standard(&tel).expect("telemetry is enabled");
     let mut clock = Timestamp::ZERO;
     for rec in FlowTraceGenerator::new(FlowTraceConfig {
@@ -70,6 +64,8 @@ fn main() {
         ops.tick(rec.ts);
     }
     fs.finish();
+    // Show only the traces of the session's queries, not the load's pumps.
+    tel.clear_traces();
     eprintln!(
         "{} summaries indexed from locations {:?}\n{HELP}\n",
         fs.flowdb().len(),
@@ -117,7 +113,7 @@ fn main() {
                     .trim_start_matches(":profile")
                     .trim_start_matches("\\profile")
                     .trim();
-                let snap = fs.profile_snapshot();
+                let snap = tel.profile_snapshot();
                 print!("{}", snap.render_top(10));
                 println!("heaviest queries (by work units):");
                 for (q, work) in fs.heavy_queries(5) {
@@ -148,8 +144,8 @@ fn main() {
                     Err(e) => println!("error: {e}"),
                 }
                 if trace {
-                    print!("{}", fs.trace_report());
-                    fs.tracer().clear();
+                    print!("{}", tel.trace_snapshot().render_tree());
+                    tel.clear_traces();
                 }
             }
         }
@@ -173,8 +169,8 @@ fn main() {
                 Err(e) => println!("error: {e}\n"),
             }
             if trace {
-                print!("{}", fs.trace_report());
-                fs.tracer().clear();
+                print!("{}", tel.trace_snapshot().render_tree());
+                tel.clear_traces();
             }
         }
         let explain_q = "SELECT TOPK 3 FROM ALL WHERE location = \"region-0\"";
@@ -196,7 +192,7 @@ fn main() {
         }
         println!("...");
         println!("flowql> :profile");
-        print!("{}", fs.profile_snapshot().render_top(5));
+        print!("{}", tel.profile_snapshot().render_top(5));
         println!("heaviest queries (by work units):");
         for (q, work) in fs.heavy_queries(3) {
             println!("{work:>12}  {q}");

@@ -30,7 +30,7 @@ use megastream_flow::mask::GeneralizationSchema;
 use megastream_flow::score::Popularity;
 use megastream_flow::time::{TimeDelta, TimeWindow, Timestamp};
 use megastream_netsim::FaultPlan;
-use megastream_telemetry::{Profiler, Telemetry, Tracer};
+use megastream_telemetry::{SamplePolicy, Telemetry};
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator, TrafficEvent};
 
 /// The operator queries during the outage: `Partial` answers what it can
@@ -78,22 +78,18 @@ fn main() {
     let want_health = std::env::args().any(|a| a == "--health");
     let want_watch = std::env::args().any(|a| a == "--watch");
     let parallelism = parallelism_flag();
-    let tel = if stats || want_health || want_watch {
+    let want_profile = std::env::args().any(|a| a == "--profile");
+    let mut tel = if stats || want_health || want_watch {
         Telemetry::new()
     } else {
         Telemetry::disabled()
     };
-    let tracer = if want_trace {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
-    let want_profile = std::env::args().any(|a| a == "--profile");
-    let profiler = if want_profile {
-        Profiler::new()
-    } else {
-        Profiler::disabled()
-    };
+    if want_trace {
+        tel = tel.with_tracing(SamplePolicy::Always);
+    }
+    if want_profile {
+        tel = tel.with_profiling();
+    }
     let victim: Ipv4Addr = "100.64.0.1".parse().unwrap();
     let attack_window =
         TimeWindow::starting_at(Timestamp::from_secs(120), TimeDelta::from_secs(60));
@@ -125,9 +121,7 @@ fn main() {
             ..Default::default()
         },
     )
-    .with_telemetry(&tel)
-    .with_tracer(&tracer)
-    .with_profiler(&profiler);
+    .with_telemetry(&tel);
 
     // --- chaos mode: region 1 loses its NOC uplink during the attack
     // minute. Exports spill locally and re-aggregate after recovery; the
@@ -277,23 +271,25 @@ fn main() {
         println!("flowdb summaries:  {}", s.flowdb_summaries);
         println!("network bytes:     {}", s.network_bytes);
         println!("\n--- telemetry ---");
-        print!("{}", fs.telemetry_report());
+        print!("{}", tel.render_text());
     }
 
-    // --- causality view: the span tree of every query in the session.
+    // --- causality view: the span tree of every pump and query in the
+    // session.
     if want_trace {
+        let traces = tel.trace_snapshot();
         println!(
-            "\n--- trace ({} spans across {} queries) ---",
-            fs.trace_snapshot().spans.len(),
-            fs.trace_snapshot().trace_ids().len()
+            "\n--- trace ({} spans across {} traces) ---",
+            traces.spans.len(),
+            traces.trace_ids().len()
         );
-        print!("{}", fs.trace_report());
+        print!("{}", traces.render_tree());
     }
 
     // --- cost view: where the run's time went, and which FlowQL queries
     // did the most deterministic work.
     if want_profile {
-        let snap = fs.profile_snapshot();
+        let snap = tel.profile_snapshot();
         println!("\n--- profile ({} paths) ---", snap.activities.len());
         print!("{}", snap.render_top(10));
         println!("\n--- heaviest queries (by work units) ---");

@@ -21,21 +21,18 @@ use megastream::flowstream::{DegradationPolicy, Flowstream, FlowstreamConfig};
 use megastream::ops::OpsPlane;
 use megastream_flow::time::{TimeDelta, Timestamp};
 use megastream_netsim::FaultPlan;
-use megastream_telemetry::{Profiler, Telemetry};
+use megastream_telemetry::Telemetry;
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};
 
 fn main() {
     let live = std::env::args().any(|a| a == "--live");
     let want_profile = std::env::args().any(|a| a == "--profile");
-    let tel = Telemetry::new();
-    let profiler = if want_profile {
-        Profiler::new()
+    let tel = if want_profile {
+        Telemetry::new().with_profiling()
     } else {
-        Profiler::disabled()
+        Telemetry::new()
     };
-    let mut fs = Flowstream::new(3, 2, FlowstreamConfig::default())
-        .with_telemetry(&tel)
-        .with_profiler(&profiler);
+    let mut fs = Flowstream::new(3, 2, FlowstreamConfig::default()).with_telemetry(&tel);
     let mut plan = FaultPlan::seeded(7);
     plan.link_down(
         fs.region_node(1),
@@ -98,7 +95,7 @@ fn main() {
     }
     println!("...");
     if want_profile {
-        let snap = fs.profile_snapshot();
+        let snap = tel.profile_snapshot();
         println!("\n=== profile ({} paths) ===", snap.activities.len());
         print!("{}", snap.render_top(10));
         let path = std::path::Path::new("target").join("opsview.collapsed");

@@ -20,7 +20,7 @@ use megastream_flow::key::FlowKey;
 use megastream_flow::score::Popularity;
 use megastream_flow::time::{TimeDelta, Timestamp};
 use megastream_flowtree::{Flowtree, FlowtreeConfig};
-use megastream_telemetry::{Profiler, Telemetry, Tracer};
+use megastream_telemetry::{SamplePolicy, Telemetry};
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};
 
 /// `--threads N` from the command line, or the `Auto` default.
@@ -174,8 +174,13 @@ fn main() {
         if threads_given {
             println!("\nflowstream parallelism: {parallelism}");
         }
-        let tel = Telemetry::new();
-        let tracer = Tracer::new();
+        let mut tel = Telemetry::new();
+        if want_trace {
+            tel = tel.with_tracing(SamplePolicy::Always);
+        }
+        if want_profile {
+            tel = tel.with_profiling();
+        }
         let mut fs = Flowstream::new(
             2,
             2,
@@ -185,15 +190,8 @@ fn main() {
                 ..Default::default()
             },
         );
-        if stats || want_health || want_watch {
+        if stats || want_health || want_watch || want_trace || want_profile {
             fs.set_telemetry(&tel);
-        }
-        if want_trace {
-            fs.set_tracer(&tracer);
-        }
-        let profiler = Profiler::new();
-        if want_profile {
-            fs.set_profiler(&profiler);
         }
         if let Some(dir) = durable.as_ref() {
             // A fresh store each run: epoch segments + WAL land here.
@@ -251,7 +249,7 @@ fn main() {
         }
         if stats {
             println!("\n--- telemetry ({} metrics) ---", tel.snapshot().len());
-            print!("{}", fs.telemetry_report());
+            print!("{}", tel.render_text());
         }
         if let Some(ops) = ops.as_mut() {
             // One frame past the end so the session's queries are folded in.
@@ -263,14 +261,12 @@ fn main() {
             print!("{}", ops.health_report());
         }
         if want_trace {
-            println!(
-                "\n--- trace ({} spans) ---",
-                fs.trace_snapshot().spans.len()
-            );
-            print!("{}", fs.trace_report());
+            let traces = tel.trace_snapshot();
+            println!("\n--- trace ({} spans) ---", traces.spans.len());
+            print!("{}", traces.render_tree());
         }
         if want_profile {
-            let snap = fs.profile_snapshot();
+            let snap = tel.profile_snapshot();
             println!("\n--- profile ({} paths) ---", snap.activities.len());
             print!("{}", snap.render_top(10));
             let path = std::path::Path::new("target").join("quickstart.collapsed");

@@ -22,7 +22,7 @@ use megastream_flow::time::{TimeDelta, Timestamp};
 use megastream_flowdb::QueryResult;
 use megastream_netsim::FaultPlan;
 use megastream_telemetry::json::Json;
-use megastream_telemetry::{SpanId, SpanRecord, Telemetry, Tracer};
+use megastream_telemetry::{SamplePolicy, SpanId, SpanRecord, Telemetry};
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};
 
 /// Every parallelism setting the oracle compares. `Sequential` is the
@@ -257,12 +257,20 @@ fn assert_connected(spans: &[&SpanRecord]) {
 
 #[test]
 fn query_storm_from_eight_threads_keeps_traces_connected() {
-    let tracer = Tracer::new();
-    let mut fs = deployment(Parallelism::Auto).with_tracer(&tracer);
+    let tel = Telemetry::new().with_tracing(SamplePolicy::Always);
+    let mut fs = deployment(Parallelism::Auto).with_telemetry(&tel);
     for rec in workload() {
         fs.ingest_round_robin(&rec);
     }
     fs.finish();
+    // The pumps traced too: each is one connected tree. Only the storm's
+    // query traces are counted below.
+    let pumps = tel.trace_snapshot();
+    assert!(!pumps.is_empty(), "pumps must trace");
+    for trace in pumps.trace_ids() {
+        assert_connected(&pumps.trace(trace));
+    }
+    tel.clear_traces();
     let queries = canonical_queries();
     let expected_locations = fs.flowdb().locations().len();
     // 8 threads × 5 queries each, every query itself fanning out on worker
@@ -279,7 +287,7 @@ fn query_storm_from_eight_threads_keeps_traces_connected() {
             });
         }
     });
-    let snap = tracer.snapshot();
+    let snap = tel.trace_snapshot();
     let traces = snap.trace_ids();
     assert_eq!(traces.len(), 40, "one trace per storm query");
     for trace in traces {
@@ -287,10 +295,10 @@ fn query_storm_from_eight_threads_keeps_traces_connected() {
         assert_connected(&spans);
         let root = spans.iter().find(|s| s.parent.is_none()).unwrap();
         assert_eq!(root.name, "flowstream.query");
-        assert!(spans.iter().any(|s| s.name == "parse"));
+        assert!(spans.iter().any(|s| s.name == "flowdb.parse"));
         // Each fanout child hangs off this trace's root and carries its
         // location and payload annotations.
-        let fanouts: Vec<_> = spans.iter().filter(|s| s.name == "fanout").collect();
+        let fanouts: Vec<_> = spans.iter().filter(|s| s.name == "flowdb.fanout").collect();
         assert!(!fanouts.is_empty(), "query without fan-out spans");
         assert!(fanouts.len() <= expected_locations);
         for fanout in &fanouts {
@@ -299,6 +307,7 @@ fn query_storm_from_eight_threads_keeps_traces_connected() {
             assert!(fanout.records > 0);
         }
     }
-    let parsed = Json::parse(&fs.trace_chrome_json()).expect("chrome export must stay valid JSON");
+    let parsed = Json::parse(&fs.telemetry().trace_snapshot().render_chrome_json())
+        .expect("chrome export must stay valid JSON");
     drop(parsed);
 }

@@ -15,11 +15,11 @@ use megastream::ops::OpsPlane;
 use megastream::{DegradationPolicy, Flowstream, FlowstreamConfig};
 use megastream_flow::time::{TimeDelta, Timestamp};
 use megastream_netsim::FaultPlan;
-use megastream_telemetry::{HealthStatus, Profiler, Telemetry};
+use megastream_telemetry::{HealthStatus, SamplePolicy, Telemetry};
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};
 
-fn profiled_deployment() -> (Flowstream, Profiler) {
-    let profiler = Profiler::new();
+fn profiled_deployment() -> (Flowstream, Telemetry) {
+    let profiler = Telemetry::new().with_profiling();
     let mut fs = Flowstream::new(
         2,
         2,
@@ -28,7 +28,7 @@ fn profiled_deployment() -> (Flowstream, Profiler) {
             ..Default::default()
         },
     )
-    .with_profiler(&profiler);
+    .with_telemetry(&profiler);
     for rec in FlowTraceGenerator::new(FlowTraceConfig {
         seed: 5,
         flows_per_sec: 150.0,
@@ -45,7 +45,7 @@ fn profiled_deployment() -> (Flowstream, Profiler) {
 fn collapsed_stack_export_is_wellformed() {
     let (fs, _profiler) = profiled_deployment();
     fs.query("SELECT TOPK 3 FROM ALL").expect("query");
-    let snap = fs.profile_snapshot();
+    let snap = fs.telemetry().profile_snapshot();
     let collapsed = snap.render_collapsed();
     assert!(!collapsed.is_empty(), "a profiled run must record activity");
     for line in collapsed.lines() {
@@ -62,8 +62,11 @@ fn collapsed_stack_export_is_wellformed() {
     let paths: Vec<&str> = snap.activities.iter().map(|a| a.path.as_str()).collect();
     assert!(paths.contains(&"flowstream.ingest"));
     assert!(paths.contains(&"flowstream.rotate"));
-    assert!(paths.contains(&"flowstream.query;parse"));
-    assert!(!paths.contains(&"parse"), "parse only runs inside a query");
+    assert!(paths.contains(&"flowstream.query;flowdb.parse"));
+    assert!(
+        !paths.contains(&"flowdb.parse"),
+        "parse only runs inside a query"
+    );
 }
 
 #[test]
@@ -99,12 +102,11 @@ fn heavy_query_log_ranks_expensive_drilldown_first() {
 
 #[test]
 fn query_cost_reaches_trace_annotations() {
-    use megastream_telemetry::Tracer;
-    let tracer = Tracer::new();
-    let (mut fs, _profiler) = profiled_deployment();
-    fs.set_tracer(&tracer);
+    let (mut fs, profiler) = profiled_deployment();
+    let tracer = profiler.with_tracing(SamplePolicy::Always);
+    fs.set_telemetry(&tracer);
     fs.query("SELECT TOPK 3 FROM ALL").expect("query");
-    let spans = tracer.snapshot();
+    let spans = tracer.trace_snapshot();
     let root = spans
         .spans
         .iter()

@@ -39,7 +39,7 @@ fn flowstream_workload_populates_all_layers() {
         .expect("point query");
     assert!(fs.query("SELECT TOPK 3 FROM ALL WHERE").is_err());
 
-    let snap = fs.telemetry_snapshot();
+    let snap = fs.telemetry().snapshot();
 
     // Ingest: every router counted records, and the per-store totals match
     // the deployment's own accounting.
@@ -106,7 +106,7 @@ fn flowstream_workload_populates_all_layers() {
     assert!(snap.histogram("flowdb.parse.micros").is_some());
 
     // The text report surfaces all of it.
-    let report = fs.telemetry_report();
+    let report = fs.telemetry().render_text();
     assert!(report.contains("flowstream.ingest.records_total"));
     assert!(report.contains("datastore.epoch.rotations_total"));
     assert!(report.contains("flowstream.query.micros"));
@@ -121,8 +121,8 @@ fn disabled_deployment_registers_no_metrics() {
     fs.query("SELECT TOPK 3 FROM ALL WHERE location = \"region-0\"")
         .expect("topk query");
     assert!(!fs.telemetry().is_enabled());
-    assert!(fs.telemetry_snapshot().is_empty());
-    assert_eq!(fs.telemetry_report(), "");
+    assert!(fs.telemetry().snapshot().is_empty());
+    assert_eq!(fs.telemetry().render_text(), "");
 }
 
 #[test]

@@ -17,11 +17,11 @@ use megastream_manager::manager::Manager;
 use megastream_netsim::topology::{LinkSpec, Network, NodeKind};
 use megastream_replication::policy::ReplicationPolicy;
 use megastream_telemetry::json::Json;
-use megastream_telemetry::{SpanId, SpanRecord, TraceSnapshot, Tracer};
+use megastream_telemetry::{SamplePolicy, SpanId, SpanRecord, Telemetry, TraceSnapshot};
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};
 
-fn traced_deployment() -> (Flowstream, Tracer) {
-    let tracer = Tracer::new();
+fn traced_deployment() -> (Flowstream, Telemetry) {
+    let tel = Telemetry::new().with_tracing(SamplePolicy::Always);
     let mut fs = Flowstream::new(
         2,
         2,
@@ -30,7 +30,7 @@ fn traced_deployment() -> (Flowstream, Tracer) {
             ..Default::default()
         },
     )
-    .with_tracer(&tracer);
+    .with_telemetry(&tel);
     for rec in FlowTraceGenerator::new(FlowTraceConfig {
         seed: 11,
         flows_per_sec: 100.0,
@@ -40,7 +40,15 @@ fn traced_deployment() -> (Flowstream, Tracer) {
         fs.ingest_round_robin(&rec);
     }
     fs.finish();
-    (fs, tracer)
+    // The pumps traced too: each is one connected tree. Tests count only
+    // the query traces that follow.
+    let pumps = tel.trace_snapshot();
+    assert!(!pumps.is_empty(), "pumps must trace");
+    for trace in pumps.trace_ids() {
+        assert_connected(&pumps.trace(trace));
+    }
+    tel.clear_traces();
+    (fs, tel)
 }
 
 /// Every span of `trace` must reach the root by walking parent links.
@@ -65,12 +73,12 @@ fn assert_connected(spans: &[&SpanRecord]) {
 
 #[test]
 fn query_trace_has_one_fanout_span_per_contacted_location_plus_merge() {
-    let (fs, tracer) = traced_deployment();
+    let (fs, tel) = traced_deployment();
     // No location restriction: the query contacts every indexed location
     // (both region stores and the NOC store).
     fs.query("SELECT QUERY FROM ALL WHERE src_ip = 10.0.0.0/8")
         .expect("traced query");
-    let snap = tracer.snapshot();
+    let snap = tel.trace_snapshot();
     let traces = snap.trace_ids();
     assert_eq!(traces.len(), 1, "one query → one trace");
     let spans = snap.trace(traces[0]);
@@ -84,7 +92,7 @@ fn query_trace_has_one_fanout_span_per_contacted_location_plus_merge() {
     // and annotated with the summaries + bytes it contributed.
     let mut fanout_locations: Vec<&str> = spans
         .iter()
-        .filter(|s| s.name == "fanout")
+        .filter(|s| s.name == "flowdb.fanout")
         .map(|s| {
             assert_eq!(s.parent, Some(root.id));
             assert!(s.records > 0, "fanout without payload records");
@@ -101,20 +109,20 @@ fn query_trace_has_one_fanout_span_per_contacted_location_plus_merge() {
 
     // Exactly one merge span, also under the root, consuming what the
     // fan-outs produced.
-    let merges: Vec<_> = spans.iter().filter(|s| s.name == "merge").collect();
+    let merges: Vec<_> = spans.iter().filter(|s| s.name == "flowdb.merge").collect();
     assert_eq!(merges.len(), 1);
     assert_eq!(merges[0].parent, Some(root.id));
     let fanned: u64 = spans
         .iter()
-        .filter(|s| s.name == "fanout")
+        .filter(|s| s.name == "flowdb.fanout")
         .map(|s| s.records)
         .sum();
     assert_eq!(
         merges[0].records, fanned,
         "merge consumes all fanned-out summaries"
     );
-    assert!(spans.iter().any(|s| s.name == "parse"));
-    assert!(spans.iter().any(|s| s.name == "run"));
+    assert!(spans.iter().any(|s| s.name == "flowdb.parse"));
+    assert!(spans.iter().any(|s| s.name == "flowdb.operator"));
 }
 
 #[test]
@@ -129,10 +137,16 @@ fn explain_analyze_works_without_an_attached_tracer() {
         fs.ingest_round_robin(&rec);
     }
     fs.finish();
-    assert!(!fs.tracer().is_enabled());
+    assert!(!fs.telemetry().is_enabled());
     let (result, explanation) = fs.explain("SELECT TOPK 3 FROM ALL WHERE location = \"region-0\"");
     result.expect("explained query succeeds");
-    for stage in ["flowstream.query", "parse", "fanout", "merge", "run"] {
+    for stage in [
+        "flowstream.query",
+        "flowdb.parse",
+        "flowdb.fanout",
+        "flowdb.merge",
+        "flowdb.operator",
+    ] {
         assert!(
             explanation.tree.contains(stage),
             "stage {stage} missing from explanation:\n{}",
@@ -141,7 +155,7 @@ fn explain_analyze_works_without_an_attached_tracer() {
     }
     assert!(explanation.tree.contains("location=region-0"));
     // The throwaway tracer left nothing behind on the deployment.
-    assert!(fs.trace_snapshot().is_empty());
+    assert!(fs.telemetry().trace_snapshot().is_empty());
 }
 
 fn hierarchy_store(name: &str, epoch_secs: u64) -> DataStore {
@@ -167,9 +181,9 @@ fn pump_links_child_exports_to_parent_absorb_across_three_levels() {
     let leaf_n = net.add_node("leaf", NodeKind::DataStore);
     net.connect(leaf_n, mid_n, LinkSpec::lan_1g());
     net.connect(mid_n, root_n, LinkSpec::wan_100m());
-    let tracer = Tracer::new();
+    let tel = Telemetry::new().with_tracing(SamplePolicy::Always);
     let mut h = StoreHierarchy::new(net);
-    h.set_tracer(&tracer);
+    h.set_telemetry(&tel);
     let root = h.add_root(hierarchy_store("root", 120), root_n);
     let mid = h.add_child(hierarchy_store("mid", 60), mid_n, root);
     let leaf = h.add_child(hierarchy_store("leaf", 60), leaf_n, mid);
@@ -183,7 +197,7 @@ fn pump_links_child_exports_to_parent_absorb_across_three_levels() {
     let stats = h.pump(Timestamp::from_secs(60)).unwrap();
     assert!(stats.exported_summaries > 0);
 
-    let snap = tracer.snapshot();
+    let snap = tel.trace_snapshot();
     let traces = snap.trace_ids();
     assert_eq!(traces.len(), 1, "one pump → one trace");
     let spans = snap.trace(traces[0]);
@@ -193,8 +207,14 @@ fn pump_links_child_exports_to_parent_absorb_across_three_levels() {
 
     // Exports happened at both lower levels (leaf and mid rotate at 60 s);
     // each absorb span is stamped with — i.e. parented under — its export.
-    let exports: Vec<_> = spans.iter().filter(|s| s.name == "export").collect();
-    let absorbs: Vec<_> = spans.iter().filter(|s| s.name == "absorb").collect();
+    let exports: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "hierarchy.export")
+        .collect();
+    let absorbs: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "hierarchy.absorb")
+        .collect();
     assert_eq!(absorbs.len(), 2, "leaf→mid and mid→root links");
     let linked: HashMap<&str, &str> = absorbs
         .iter()
@@ -225,22 +245,22 @@ fn replication_decisions_are_stamped() {
     let owner = net.add_node("owner", NodeKind::DataStore);
     let remote = net.add_node("remote", NodeKind::DataStore);
     net.connect(owner, remote, LinkSpec::wan_100m());
-    let tracer = Tracer::new();
+    let tel = Telemetry::new().with_tracing(SamplePolicy::Always);
     let mut mgr = Manager::new(ReplicationPolicy::BreakEven { factor: 1.0 });
-    mgr.set_tracer(&tracer);
+    mgr.set_telemetry(&tel);
     let p = mgr.replication_mut().register_partition(owner, 1_000);
     for i in 0..5u64 {
         mgr.replication_mut()
             .on_access(p, remote, 300, &mut net, Timestamp::from_secs(i))
             .unwrap();
     }
-    let snap = tracer.snapshot();
+    let snap = tel.trace_snapshot();
     // Remote accesses 1–4 trace; accesses after replication are local hits
     // and trace nothing.
     let accesses = snap.spans_named("replication.access");
     assert_eq!(accesses.len(), 4);
-    assert_eq!(snap.spans_named("ship").len(), 4);
-    let replicates = snap.spans_named("replicate");
+    assert_eq!(snap.spans_named("replication.ship").len(), 4);
+    let replicates = snap.spans_named("replication.replicate");
     assert_eq!(replicates.len(), 1, "the policy fired exactly once");
     let rep = replicates[0];
     assert_eq!(rep.bytes, 1_000);
@@ -254,11 +274,11 @@ fn replication_decisions_are_stamped() {
 
 #[test]
 fn chrome_export_of_a_real_query_is_valid_and_complete() {
-    let (fs, tracer) = traced_deployment();
+    let (fs, tel) = traced_deployment();
     fs.query("SELECT TOPK 3 FROM ALL WHERE location = \"region-0\"")
         .expect("traced query");
-    let snap = tracer.snapshot();
-    let json_text = fs.trace_chrome_json();
+    let snap = tel.trace_snapshot();
+    let json_text = fs.telemetry().trace_snapshot().render_chrome_json();
     let parsed = Json::parse(&json_text).expect("chrome export must parse");
     let events = parsed
         .get("traceEvents")
@@ -281,17 +301,17 @@ fn chrome_export_of_a_real_query_is_valid_and_complete() {
 fn eight_threads_share_one_store_without_loss_or_cross_links() {
     const THREADS: u64 = 8;
     const ROOTS_PER_THREAD: u64 = 50;
-    let tracer = Tracer::new();
+    let tel = Telemetry::new().with_tracing(SamplePolicy::Always);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let tracer = tracer.clone();
+            let tel = tel.clone();
             scope.spawn(move || {
                 for i in 0..ROOTS_PER_THREAD {
-                    let mut root = tracer.root("work");
-                    root.annotate("thread", &t.to_string());
-                    root.annotate("i", &i.to_string());
-                    let child = root.child("inner");
-                    let grandchild = child.child("leaf");
+                    let mut root = tel.root("work");
+                    root.annotate("thread", t);
+                    root.annotate("i", i);
+                    let child = tel.scope("inner");
+                    let grandchild = tel.scope("leaf");
                     grandchild.finish();
                     child.finish();
                     root.finish();
@@ -299,7 +319,7 @@ fn eight_threads_share_one_store_without_loss_or_cross_links() {
             });
         }
     });
-    let snap = tracer.snapshot();
+    let snap = tel.trace_snapshot();
     assert_eq!(snap.dropped, 0, "store under capacity — nothing dropped");
     assert_eq!(snap.spans.len() as u64, THREADS * ROOTS_PER_THREAD * 3);
     let traces = snap.trace_ids();
@@ -334,7 +354,7 @@ fn untraced_deployment_records_no_spans() {
     fs.finish();
     fs.query("SELECT TOPK 1 FROM ALL WHERE location = \"region-0\"")
         .expect("query");
-    let snap: TraceSnapshot = fs.trace_snapshot();
+    let snap: TraceSnapshot = fs.telemetry().trace_snapshot();
     assert!(snap.is_empty());
-    assert_eq!(fs.trace_report(), "");
+    assert_eq!(snap.render_tree(), "");
 }
