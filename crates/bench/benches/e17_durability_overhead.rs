@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use megastream::flowstream::{Flowstream, FlowstreamConfig};
+use megastream::storage::segment::parse_sealed_name;
 use megastream::{ColdTier, SyncPolicy};
 use megastream_bench::{flow_trace, rule};
 use megastream_telemetry::Telemetry;
@@ -37,12 +38,25 @@ fn attach(fs: &mut Flowstream, mode: &str, dir: &PathBuf, tel: &Telemetry) {
     fs.attach_cold_tier(tier);
 }
 
+/// Bytes of the sealed epoch segments in `dir` (0 when there is none).
+fn sealed_bytes(dir: &PathBuf) -> u64 {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .filter(|e| e.file_name().to_str().and_then(parse_sealed_name).is_some())
+        .filter_map(|e| e.metadata().ok())
+        .map(|m| m.len())
+        .sum()
+}
+
 fn ingest_overhead_report() {
     rule("E17 — ingest throughput: cold tier off vs Off vs OnSeal vs WriteThrough (60k flows)");
     let trace = flow_trace(2026, 500.0, 120, 1.1);
     println!(
-        "{:>14} {:>12} {:>10} {:>12} {:>10}",
-        "mode", "elapsed ms", "segments", "disk KiB", "fsyncs"
+        "{:>14} {:>12} {:>10} {:>12} {:>12} {:>10}",
+        "mode", "elapsed ms", "segments", "disk KiB", "sealed B/rec", "fsyncs"
     );
     for mode in MODES {
         let tel = Telemetry::new();
@@ -58,12 +72,13 @@ fn ingest_overhead_report() {
         let snap = tel.snapshot();
         let counter = |name: &str| snap.counter(name).unwrap_or(0);
         println!(
-            "{:>14} {:>12.1} {:>10} {:>12.1} {:>10}",
+            "{:>14} {:>12.1} {:>10} {:>12.1} {:>12.2} {:>10}",
             mode,
             elapsed,
             counter("storage.segments.sealed_total"),
             (counter("storage.segments.bytes_total") + counter("storage.wal.bytes_total")) as f64
                 / 1024.0,
+            sealed_bytes(&dir) as f64 / trace.len() as f64,
             counter("storage.segments.fsync_total"),
         );
         drop(fs);

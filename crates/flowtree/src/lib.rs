@@ -61,4 +61,4 @@ mod tree;
 
 pub use builder::FlowtreeConfig;
 pub use query::{DrilldownEntry, TreeHhhItem};
-pub use tree::{FlatNode, FlatTreeError, Flowtree, NodeView, FLAT_NO_PARENT};
+pub use tree::{FlatNode, FlatTreeError, Flowtree, NodeView, PreorderNode, FLAT_NO_PARENT};

@@ -38,10 +38,12 @@ impl Flowtree {
         self.reserve_nodes(other.len());
         // `other`'s canonical pre-order lists every ancestor before its
         // descendants, so each inserted key finds its true deepest
-        // materialized ancestor without any re-sorting.
-        for node in other.flat_nodes() {
+        // materialized ancestor without any re-sorting. Compatible trees
+        // share schema and features, so `other`'s keys are already
+        // normalized and projected for this tree.
+        for node in other.preorder() {
             if !node.own.is_zero() {
-                self.insert_exact(&node.key, node.own);
+                self.insert_normalized(node.key, node.own);
             }
         }
         *self.records_mut() += other.records();

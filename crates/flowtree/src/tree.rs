@@ -35,10 +35,25 @@ pub struct NodeView {
     pub is_leaf: bool,
 }
 
-/// One node of a Flowtree's flat serialized form: pre-order position of
-/// the parent plus the node payload. Produced by [`Flowtree::flat_nodes`]
-/// and consumed by [`Flowtree::try_from_flat`]; the cold-tier codec ships
-/// this layout verbatim (arena slice + root-first pre-order).
+/// One node of a depth-aware pre-order walk ([`Flowtree::preorder`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PreorderNode {
+    /// Edges between the node and the root, which is at depth 0. In
+    /// pre-order, a node at depth `d > 0` is a child of the latest node
+    /// before it at depth `d - 1`.
+    pub depth: usize,
+    /// The node's generalized flow key.
+    pub key: FlowKey,
+    /// The node's own score.
+    pub own: Popularity,
+}
+
+/// One node of a Flowtree's flat form: pre-order position of the parent
+/// plus the node payload. Produced by [`Flowtree::flat_nodes`] and
+/// consumed by [`Flowtree::try_from_flat`], the validating constructor
+/// every decoder goes through. The cold-tier codec does not store this
+/// layout: it writes each key relative to its parent's and each parent as
+/// an up-link on the root path, then rebuilds `FlatNode`s to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlatNode {
     /// The node's generalized flow key.
@@ -265,9 +280,11 @@ impl Flowtree {
         self.records
     }
 
-    /// Approximate size of the tree on the wire, in bytes: one flat frame
+    /// Approximate size of the tree on the wire, in bytes: one fixed-width
     /// entry (key + own score + parent index) per node. Used by the
-    /// transfer-optimization experiments to account export volume.
+    /// transfer-optimization experiments to account export volume; the
+    /// cold tier stores each node relative to its parent, in far fewer
+    /// bytes.
     pub fn wire_size(&self) -> usize {
         self.len()
             * (std::mem::size_of::<FlowKey>()
@@ -403,12 +420,19 @@ impl Flowtree {
 
     /// Inserts `key` with `score` *without* materializing missing ancestors
     /// (the node attaches under its deepest already-materialized ancestor).
-    /// Used to reconstruct a tree from its flat serialized form exactly.
+    /// Used to reconstruct a tree from its `(key, score)` pairs exactly.
     pub(crate) fn insert_exact(&mut self, key: &FlowKey, score: Popularity) {
         let key = self
             .config
             .schema
             .normalize(&key.project(self.config.features));
+        self.insert_normalized(key, score);
+    }
+
+    /// [`Flowtree::insert_exact`] for a key that is already normalized and
+    /// projected under this tree's schema and features — as every key of
+    /// a [compatible](FlowtreeConfig::compatible_with) tree is.
+    pub(crate) fn insert_normalized(&mut self, key: FlowKey, score: Popularity) {
         let id = if let Some(id) = self.arena.lookup(&key) {
             id
         } else {
@@ -494,9 +518,8 @@ impl Flowtree {
     /// key order), with subtree scores computed.
     pub fn nodes(&self) -> Vec<NodeView> {
         let subtree = self.subtree_scores();
-        self.preorder_ids()
-            .into_iter()
-            .map(|id| {
+        self.walk()
+            .map(|(_, id)| {
                 let s = self.arena.slot(id);
                 NodeView {
                     key: s.key,
@@ -508,23 +531,35 @@ impl Flowtree {
             .collect()
     }
 
-    /// The tree's flat serialized form: every node in canonical pre-order
-    /// with its parent's position in the same sequence. This is the arena
-    /// slice the cold-tier codec ships as-is; see [`FlatNode`].
-    pub fn flat_nodes(&self) -> Vec<FlatNode> {
-        let mut pos: IdMap<u32> = IdMap::new(&self.arena, FLAT_NO_PARENT);
-        let mut out = Vec::with_capacity(self.len());
-        for id in self.preorder_ids() {
+    /// Every node in canonical pre-order (root first, children in key
+    /// order) with its depth — the one walk behind [`Flowtree::nodes`],
+    /// [`Flowtree::flat_nodes`], [`Flowtree::merge`] and the cold-tier
+    /// codec. Follows the arena's sibling and parent links, so it
+    /// allocates nothing.
+    pub fn preorder(&self) -> impl Iterator<Item = PreorderNode> + '_ {
+        self.walk().map(|(depth, id)| {
             let s = self.arena.slot(id);
-            let parent = if id == NodeId::ROOT {
-                FLAT_NO_PARENT
-            } else {
-                pos[s.parent]
-            };
-            pos[id] = out.len() as u32;
-            out.push(FlatNode {
+            PreorderNode {
+                depth,
                 key: s.key,
                 own: s.own,
+            }
+        })
+    }
+
+    /// The tree's flat form: every node in canonical pre-order with its
+    /// parent's position in the same sequence; see [`FlatNode`].
+    pub fn flat_nodes(&self) -> Vec<FlatNode> {
+        // `path[d]` is the position of the latest node at depth `d`.
+        let mut path: Vec<u32> = Vec::new();
+        let mut out = Vec::with_capacity(self.len());
+        for node in self.preorder() {
+            path.truncate(node.depth);
+            let parent = path.last().copied().unwrap_or(FLAT_NO_PARENT);
+            path.push(out.len() as u32);
+            out.push(FlatNode {
+                key: node.key,
+                own: node.own,
                 parent,
             });
         }
@@ -621,20 +656,15 @@ impl Flowtree {
         self.arena.lookup(&norm)
     }
 
-    /// All live ids in canonical pre-order (children visited in key order).
-    fn preorder_ids(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut stack = vec![NodeId::ROOT];
-        let mut kids: Vec<NodeId> = Vec::new();
-        while let Some(id) = stack.pop() {
-            out.push(id);
-            kids.clear();
-            kids.extend(self.arena.children(id));
-            for &c in kids.iter().rev() {
-                stack.push(c);
-            }
+    /// All live ids with their depths in canonical pre-order (children
+    /// visited in key order).
+    fn walk(&self) -> Walk<'_> {
+        Walk {
+            arena: &self.arena,
+            next: NodeId::ROOT,
+            depth: 0,
+            left: self.len(),
         }
-        out
     }
 
     /// Returns the id of `key`'s node, materializing it (and any missing
@@ -800,6 +830,53 @@ impl Flowtree {
             "score mass not conserved: sum {own_sum} != total {}",
             self.total
         );
+    }
+}
+
+/// The stackless pre-order walk behind [`Flowtree::preorder`]: first
+/// child if there is one, else the next sibling of the nearest node on
+/// the root path that has one.
+struct Walk<'a> {
+    arena: &'a Arena,
+    /// The node to yield next; `NONE` once the walk is done.
+    next: NodeId,
+    depth: usize,
+    left: usize,
+}
+
+impl Iterator for Walk<'_> {
+    type Item = (usize, NodeId);
+
+    fn next(&mut self) -> Option<(usize, NodeId)> {
+        let id = self.next;
+        if id.is_none() {
+            return None;
+        }
+        let depth = self.depth;
+        let s = self.arena.slot(id);
+        if s.first_child.is_some() {
+            self.next = s.first_child;
+            self.depth += 1;
+        } else {
+            let mut cur = id;
+            self.next = loop {
+                if cur == NodeId::ROOT {
+                    break NodeId::NONE;
+                }
+                let c = self.arena.slot(cur);
+                if c.next_sibling.is_some() {
+                    break c.next_sibling;
+                }
+                cur = c.parent;
+                self.depth -= 1;
+            };
+        }
+        self.left = self.left.saturating_sub(1);
+        Some((depth, id))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
@@ -1059,6 +1136,36 @@ mod tests {
             .expect("valid flat form decodes");
         assert_eq!(back, t);
         back.check_invariants();
+    }
+
+    #[test]
+    fn preorder_depths_follow_parent_links() {
+        let mut donor = Flowtree::new(FlowtreeConfig::default().with_capacity(32));
+        for i in 0..120u32 {
+            donor.observe(&rec(
+                &format!("10.{}.{}.{}", i % 3, i % 7, i % 50),
+                &format!("192.168.{}.1", i % 4),
+                1 + u64::from(i % 5),
+            ));
+        }
+        // Merging a compressed donor leaves gaps: parents several rungs
+        // and fields above their children.
+        let mut t = small_tree();
+        t.merge(&donor);
+        for tree in [&donor, &t] {
+            let walk: Vec<PreorderNode> = tree.preorder().collect();
+            let flat = tree.flat_nodes();
+            assert_eq!(walk.len(), tree.len());
+            assert_eq!(walk[0].depth, 0);
+            let mut depth = vec![0usize; flat.len()];
+            for (i, (node, f)) in walk.iter().zip(&flat).enumerate().skip(1) {
+                depth[i] = depth[f.parent as usize] + 1;
+                assert_eq!(node.depth, depth[i]);
+                assert_eq!((node.key, node.own), (f.key, f.own));
+            }
+            let views = tree.nodes();
+            assert!(walk.iter().zip(&views).all(|(w, v)| w.key == v.key));
+        }
     }
 
     #[test]

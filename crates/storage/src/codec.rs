@@ -1,7 +1,10 @@
 //! Binary codec for everything the cold tier persists.
 //!
 //! Little-endian, length-delimited, self-describing via one-byte tags —
-//! deliberately boring. Two properties matter more than compactness:
+//! deliberately boring, except where the bytes are: Flowtree node entries
+//! are nearly all of a sealed segment, so each is written relative to its
+//! parent (see [`enc_flowtree`]), about 5 B instead of a fixed 37 B. Two
+//! properties matter more than compactness:
 //!
 //! 1. **Roundtrip identity.** `decode(encode(x)) == x` under each type's
 //!    `PartialEq` (proved by the workspace proptest suite). Where internal
@@ -21,7 +24,7 @@ use megastream_flow::mask::{GeneralizationSchema, StepOrder};
 use megastream_flow::record::FlowRecord;
 use megastream_flow::score::{Popularity, ScoreKind};
 use megastream_flow::time::{TimeDelta, TimeWindow, Timestamp};
-use megastream_flowtree::{FlatNode, Flowtree, FlowtreeConfig};
+use megastream_flowtree::{FlatNode, Flowtree, FlowtreeConfig, FLAT_NO_PARENT};
 use megastream_primitives::exact::ExactFlowTable;
 use megastream_primitives::reservoir::Reservoir;
 use megastream_primitives::sampling::{SamplePoint, SampledSeries};
@@ -78,6 +81,16 @@ fn w_str(out: &mut Vec<u8>, s: &str) {
 /// large never occur; saturation keeps encoding total).
 fn w_count(out: &mut Vec<u8>, n: usize) {
     w_u32(out, u32::try_from(n).unwrap_or(u32::MAX));
+}
+
+/// Writes `v` as an LEB128 varint: seven bits per byte, low group first,
+/// the high bit set on every byte but the last.
+fn w_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,6 +185,29 @@ impl<'a> Reader<'a> {
             });
         }
         Ok(n)
+    }
+
+    /// Reads a varint written by `w_varint`. Only the shortest form is
+    /// accepted: a redundant zero final byte, or more than the ten bytes
+    /// (64 bits) a `u64` needs, is malformed.
+    pub(crate) fn varint(&mut self, what: &'static str) -> Result<u64, SegmentError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8(what)?;
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    break;
+                }
+                return Ok(v);
+            }
+        }
+        Err(SegmentError::Malformed {
+            what: "over-long varint",
+        })
     }
 
     /// Fails unless the whole input was consumed — frame payloads are exact.
@@ -426,6 +462,27 @@ fn dec_schema(r: &mut Reader<'_>) -> Result<GeneralizationSchema, SegmentError> 
 // Summary payloads.
 // ---------------------------------------------------------------------------
 
+/// The field-mask bits a Flowtree node entry may set: bit `i` is
+/// `Feature::ALL[i]`; the top three bits are reserved.
+const FIELD_BITS: u8 = (1 << Feature::ALL.len()) - 1;
+
+/// Fewest bytes a non-root node entry can take: up-link, field mask, one
+/// mask length, one value byte and the score.
+const NODE_MIN_BYTES: usize = 5;
+
+/// A Flowtree frame: the configuration, the record count, then the nodes
+/// in canonical pre-order, each relative to its parent:
+///
+/// ```text
+/// records u64 | root score varint | count u32 | node*
+/// node     up varint | fields u8 | (len u8, bits)* | score varint
+/// ```
+///
+/// `up` is how many entries to pop off the current root path to reach the
+/// parent (0: the previous node is the parent). `fields` has a bit per key
+/// field that differs from the parent's; for each, in `Feature::ALL`
+/// order, come its mask length and the value bits between the parent's
+/// length and its own, little-endian in whole bytes with zero padding.
 fn enc_flowtree(out: &mut Vec<u8>, tree: &Flowtree) {
     let config = tree.config();
     enc_schema(out, &config.schema);
@@ -434,16 +491,92 @@ fn enc_flowtree(out: &mut Vec<u8>, tree: &Flowtree) {
     w_u64(out, config.capacity as u64);
     w_f64(out, config.compact_ratio);
     w_u64(out, tree.records());
-    // One frame = the arena slice as-is: canonical pre-order, each node
-    // carrying its parent's position (always smaller than its own, so
-    // cycles are unrepresentable on the wire).
-    let nodes = tree.flat_nodes();
-    w_count(out, nodes.len());
-    for node in nodes {
-        enc_flow_key(out, &node.key);
-        w_u64(out, node.own.value());
-        w_u32(out, node.parent);
+    // `path[d]` is the key of the latest node at depth `d`.
+    let mut path: Vec<FlowKey> = Vec::with_capacity(config.schema.max_depth() + 1);
+    for node in tree.preorder() {
+        let parent = node.depth.checked_sub(1).and_then(|d| path.get(d)).copied();
+        if let Some(parent) = parent {
+            w_varint(out, path.len().saturating_sub(node.depth) as u64);
+            path.truncate(node.depth);
+            enc_key_delta(out, &parent, &node.key);
+            w_varint(out, node.own.value());
+        } else {
+            // The root: its score, then how many entries follow it.
+            w_varint(out, node.own.value());
+            w_count(out, tree.len().saturating_sub(1));
+        }
+        path.push(node.key);
     }
+}
+
+/// Writes the fields in which `key` differs from its parent's key.
+fn enc_key_delta(out: &mut Vec<u8>, parent: &FlowKey, key: &FlowKey) {
+    let changed = Feature::ALL
+        .into_iter()
+        .filter(|&f| key.field(f) != parent.field(f));
+    w_u8(out, changed.clone().fold(0, |m, f| m | (1 << f.index())));
+    for f in changed {
+        let (from, to) = (parent.field(f).len(), key.field(f));
+        let fresh = to.len().saturating_sub(from);
+        let bits = (u64::from(to.value()) >> (f.width() - to.len())) & ((1 << fresh) - 1);
+        let bytes = bits.to_le_bytes();
+        w_u8(out, to.len());
+        out.extend_from_slice(
+            bytes
+                .get(..usize::from(fresh.div_ceil(8)))
+                .unwrap_or_default(),
+        );
+    }
+}
+
+/// Reads the fields written by [`enc_key_delta`] and applies them to
+/// `parent`. Every field must lengthen the parent's mask within the
+/// field's width, and the padding bits must be zero, so each entry names
+/// exactly one key strictly below its parent.
+fn dec_key_delta(r: &mut Reader<'_>, parent: &FlowKey) -> Result<FlowKey, SegmentError> {
+    let fields = r.u8("flowtree node fields")?;
+    if fields == 0 {
+        return Err(SegmentError::Malformed {
+            what: "flowtree node field mask empty",
+        });
+    }
+    if fields & !FIELD_BITS != 0 {
+        return Err(SegmentError::Malformed {
+            what: "flowtree node field mask reserved bit",
+        });
+    }
+    let mut key = *parent;
+    for f in Feature::ALL {
+        if fields & (1 << f.index()) == 0 {
+            continue;
+        }
+        let from = parent.field(f);
+        let len = r.u8("flowtree node mask length")?;
+        if len <= from.len() {
+            return Err(SegmentError::Malformed {
+                what: "flowtree node mask length not longer than parent's",
+            });
+        }
+        if len > f.width() {
+            return Err(SegmentError::Malformed {
+                what: "flowtree node mask length longer than field",
+            });
+        }
+        let fresh = len - from.len();
+        let bytes = r.take(usize::from(fresh.div_ceil(8)), "flowtree node value bits")?;
+        let bits = bytes
+            .iter()
+            .rev()
+            .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
+        if bits >> fresh != 0 {
+            return Err(SegmentError::Malformed {
+                what: "flowtree node padding bits set",
+            });
+        }
+        let value = u64::from(from.value()) | (bits << (f.width() - len));
+        key = key.with_field(f, MaskedField::new(value as u32, f.width(), len));
+    }
+    Ok(key)
 }
 
 fn dec_flowtree(r: &mut Reader<'_>) -> Result<Flowtree, SegmentError> {
@@ -466,17 +599,39 @@ fn dec_flowtree(r: &mut Reader<'_>) -> Result<Flowtree, SegmentError> {
         });
     }
     let records = r.u64("flowtree records")?;
-    let n = r.count(21 + 8 + 4, "flowtree nodes")?;
-    let mut nodes = Vec::with_capacity(n);
+    let root = FlatNode {
+        key: FlowKey::root(),
+        own: Popularity::new(r.varint("flowtree root score")?),
+        parent: FLAT_NO_PARENT,
+    };
+    let n = r.count(NODE_MIN_BYTES, "flowtree nodes")?;
+    let mut nodes = Vec::with_capacity(n + 1);
+    nodes.push(root);
+    // The current root path as `(position, key)`. Every entry lengthens a
+    // mask, so the path holds at most one entry per key bit plus the root;
+    // and the root never leaves it, so an up-link can only name an entry
+    // already on it.
+    let mut path: Vec<(u32, FlowKey)> = vec![(0, root.key)];
     for _ in 0..n {
-        let key = dec_flow_key(r)?;
-        let own = r.u64("flowtree node score")?;
-        let parent = r.u32("flowtree node parent")?;
-        nodes.push(FlatNode {
-            key,
-            own: Popularity::new(own),
-            parent,
-        });
+        let up = r.varint("flowtree node up-link")?;
+        let keep = usize::try_from(up)
+            .ok()
+            .and_then(|up| path.len().checked_sub(up))
+            .filter(|&keep| keep > 0)
+            .ok_or(SegmentError::Malformed {
+                what: "flowtree node up-link above the root",
+            })?;
+        path.truncate(keep);
+        let Some(&(parent, parent_key)) = path.last() else {
+            break;
+        };
+        let key = dec_key_delta(r, &parent_key)?;
+        let own = Popularity::new(r.varint("flowtree node score")?);
+        let pos = u32::try_from(nodes.len()).map_err(|_| SegmentError::Malformed {
+            what: "flowtree nodes",
+        })?;
+        path.push((pos, key));
+        nodes.push(FlatNode { key, own, parent });
     }
     // Struct literal rather than the builder: `with_compact_ratio` clamps,
     // which would break exact roundtrip for ratios the builder never
@@ -488,9 +643,10 @@ fn dec_flowtree(r: &mut Reader<'_>) -> Result<Flowtree, SegmentError> {
         capacity,
         compact_ratio,
     };
-    // The validating constructor rejects every structural attack (cyclic
-    // or out-of-range parents, duplicate keys, budget overflow) with a
-    // typed error — decode never panics and never over-allocates.
+    // The validating constructor rejects what the entries can still get
+    // wrong (off-ladder or unprojected keys, duplicate keys, budget
+    // overflow) with a typed error — decode never panics and never
+    // over-allocates.
     Flowtree::try_from_flat(config, &nodes, records)
         .map_err(|e| SegmentError::Malformed { what: e.what() })
 }

@@ -84,7 +84,8 @@ pub enum SegmentError {
         /// What was found instead.
         found: [u8; 4],
     },
-    /// The format version is newer than this build understands.
+    /// The file was written in another format version than the one this
+    /// build reads and writes ([`segment::FORMAT_VERSION`]).
     UnsupportedVersion {
         /// The file involved.
         path: PathBuf,

@@ -36,8 +36,11 @@ use crate::{EpochMeta, Frame, RegionStatsSnapshot, SegmentError};
 pub const SEGMENT_MAGIC: [u8; 4] = *b"MSEG";
 /// Magic bytes closing every sealed segment.
 pub const INDEX_MAGIC: [u8; 4] = *b"MIDX";
-/// On-disk format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version, stamped in every segment and WAL header; a
+/// file carrying any other version is refused with
+/// [`SegmentError::UnsupportedVersion`]. Version 2 writes Flowtree nodes
+/// relative to their parents (see [`crate::codec`]).
+pub const FORMAT_VERSION: u32 = 2;
 /// Largest frame the reader will accept (64 MiB): no real summary comes
 /// close, so a larger length prefix is garbage and scanning stops.
 pub const MAX_FRAME_BYTES: u64 = 1 << 26;

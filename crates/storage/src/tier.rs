@@ -195,6 +195,10 @@ impl ColdTier {
     /// rewritten), an uncommitted `segment.open` is discarded, the WAL is
     /// scanned with its torn tail truncated, and a stale WAL is dropped.
     /// Returns the tier (with a fresh WAL) and everything replay needs.
+    ///
+    /// Every refusal — a missing epoch, or a sealed segment or WAL from
+    /// another format version — comes before the first write, so a
+    /// refused directory is left exactly as it was found.
     pub fn open(
         dir: &Path,
         sync: SyncPolicy,
@@ -202,6 +206,7 @@ impl ColdTier {
     ) -> Result<(Self, RecoveryReport), SegmentError> {
         let mut report = RecoveryReport::default();
         let metrics = TierMetrics::new(&tel);
+        let wal_scan = read_wal(&dir.join(WAL_FILE))?;
 
         // Sealed segments, in sequence order.
         let mut sealed: BTreeMap<u64, PathBuf> = BTreeMap::new();
@@ -213,6 +218,7 @@ impl ColdTier {
                 sealed.insert(seq, entry.path());
             }
         }
+        let mut scans = Vec::with_capacity(sealed.len());
         for (expected, (&seq, path)) in (1u64..).zip(sealed.iter()) {
             if seq != expected {
                 return Err(SegmentError::MissingEpoch {
@@ -226,6 +232,9 @@ impl ColdTier {
                     what: "segment name/header seq mismatch",
                 });
             }
+            scans.push((seq, path, scan));
+        }
+        for (seq, path, scan) in scans {
             report.corrupt_frames += scan.corrupt.len() as u64;
             report.torn_frames += scan.torn_frames;
             report.truncated_bytes += scan.truncated_bytes;
@@ -266,7 +275,7 @@ impl ColdTier {
 
         // The WAL: stale (crash between seal and reset) drops; current
         // replays.
-        if let Some(scan) = read_wal(&dir.join(WAL_FILE))? {
+        if let Some(scan) = wal_scan {
             report.torn_frames += scan.torn_frames;
             report.truncated_bytes += scan.truncated_bytes;
             if scan.epoch_seq <= max_sealed {

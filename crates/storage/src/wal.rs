@@ -27,7 +27,7 @@ use megastream_flow::record::FlowRecord;
 
 use crate::codec::{dec_flow_record, enc_flow_record, Reader};
 use crate::crc::crc32;
-use crate::segment::{io_err, sync_dir, MAX_FRAME_BYTES};
+use crate::segment::{io_err, sync_dir, FORMAT_VERSION, MAX_FRAME_BYTES};
 use crate::SegmentError;
 
 /// Magic bytes opening the WAL.
@@ -108,7 +108,7 @@ impl WalWriter {
         let path = dir.join(WAL_FILE);
         let mut header = Vec::with_capacity(WAL_HEADER_BYTES as usize);
         header.extend_from_slice(&WAL_MAGIC);
-        header.extend_from_slice(&crate::segment::FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         header.extend_from_slice(&epoch_seq.to_le_bytes());
         let crc = crc32(header.get(4..16).unwrap_or_default());
         header.extend_from_slice(&crc.to_le_bytes());
@@ -219,7 +219,9 @@ pub struct WalScan {
 
 /// Reads the WAL, tolerating a torn tail. Returns `Ok(None)` if the file
 /// does not exist (fresh directory, or a crash between WAL-tmp creation and
-/// rename — either way there is nothing to replay).
+/// rename — either way there is nothing to replay). A header that checks
+/// out but carries another format version is refused with
+/// [`SegmentError::UnsupportedVersion`]: its records are not replayed.
 pub fn read_wal(path: &Path) -> Result<Option<WalScan>, SegmentError> {
     let data = match std::fs::read(path) {
         Ok(d) => d,
@@ -247,6 +249,13 @@ pub fn read_wal(path: &Path) -> Result<Option<WalScan>, SegmentError> {
         scan.torn_frames = 1;
         scan.truncated_bytes = data.len() as u64;
         return Ok(Some(scan));
+    }
+    let version = u32_at(header, 4);
+    if version != FORMAT_VERSION {
+        return Err(SegmentError::UnsupportedVersion {
+            path: path.to_path_buf(),
+            found: version,
+        });
     }
     scan.epoch_seq = u64_at(header, 8);
 

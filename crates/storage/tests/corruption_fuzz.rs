@@ -222,116 +222,233 @@ proptest! {
     }
 }
 
-// ------------------------------------------------- arena-frame attacks
+// ---------------------------------------------- flowtree frame attacks
 //
-// A flowtree summary serializes as the arena slice itself: canonical
-// pre-order, each node carrying `(25-byte key, u64 own, u32 parent)` with
-// the parent's *position* in the same sequence. The decoder must treat
-// that as hostile input: parent links that are self-referential, forward,
-// or out of range; a root without the no-parent sentinel; duplicated keys;
-// and node counts beyond the configured budget all come back as typed
-// errors — never a panic, never an unbounded allocation. (Free-list
-// overlap, the classic arena-corruption vector, is *unrepresentable* on
-// the wire: the dense pre-order slice has no free list at all.)
+// A flowtree summary stores its nodes in canonical pre-order, each
+// relative to its parent: an up-link (how many entries to pop off the
+// current root path), a mask of the key fields that differ from the
+// parent, each such field's new mask length plus the value bits below the
+// parent's prefix, and the score as a varint. The decoder must treat every
+// one of those fields as hostile: each attack below comes back as a typed
+// error, never a panic, never an unbounded allocation. Cycles and forward
+// parent links are unrepresentable on the wire: an up-link can only name
+// an entry already on the root path.
 
-/// Bytes per serialized flowtree node: 5 × (u32 value + u8 len) key fields,
-/// u64 own score, u32 parent position.
-const NODE_WIRE: usize = 25 + 8 + 4;
+/// Field-mask bits of the hand-written entries (bit `i` is
+/// `Feature::ALL[i]`).
+const PROTO: u8 = 1 << 0;
+const SRC_IP: u8 = 1 << 1;
 
-/// A stored summary wrapping a flowtree with a known node count, plus that
-/// count (the node section is the last `n × NODE_WIRE` bytes of the
-/// encoding, which is what the attack helpers patch).
+/// A stored summary wrapping a flowtree built from 40 records, plus the
+/// tree's node count.
 fn flowtree_summary() -> (StoredSummary, usize) {
     let mut tree = Flowtree::new(FlowtreeConfig::default().with_capacity(256));
     for i in 0..40u64 {
         tree.observe(&wal_rec(i).record);
     }
     let n = tree.len();
-    let stored = StoredSummary::new(
+    (flowtree_stored(tree), n)
+}
+
+fn flowtree_stored(tree: Flowtree) -> StoredSummary {
+    StoredSummary::new(
         "region-ft",
         TimeWindow::starting_at(Timestamp::from_secs(0), TimeDelta::from_secs(60)),
         Summary::Flowtree(tree),
         Lineage::from_source("router-0-0"),
-    );
-    (stored, n)
+    )
 }
 
-/// Applies `patch` to a clean encoding and asserts the decoder refuses the
-/// result with an error rather than panicking (or accepting it).
-fn assert_rejected(what: &str, patch: impl FnOnce(&mut Vec<u8>, usize, usize)) {
+/// The encoding of a flowtree summary up to and including its record
+/// count: everything before the node section. An empty tree's encoding
+/// ends with a one-byte root score and a zero `u32` node count.
+fn frame_prefix() -> Vec<u8> {
+    let empty = Flowtree::new(FlowtreeConfig::default().with_capacity(256));
+    let mut buf = encode_stored_summary(&flowtree_stored(empty));
+    assert_eq!(buf[buf.len() - 5..], [0, 0, 0, 0, 0], "root score + count");
+    buf.truncate(buf.len() - 5);
+    buf
+}
+
+/// A hand-written flowtree frame: a zero root score, `count` entries
+/// claimed, then the raw entry bytes.
+fn frame(count: u32, entries: &[u8]) -> Vec<u8> {
+    let mut buf = frame_prefix();
+    buf.push(0);
+    buf.extend_from_slice(&count.to_le_bytes());
+    buf.extend_from_slice(entries);
+    buf
+}
+
+/// One hand-written node entry: `up`, the field mask, `(mask length,
+/// value bytes)` per set field, then a score of 1.
+fn entry(up: u8, fields: u8, deltas: &[(u8, &[u8])]) -> Vec<u8> {
+    let mut out = vec![up, fields];
+    for (len, bits) in deltas {
+        out.push(*len);
+        out.extend_from_slice(bits);
+    }
+    out.push(1);
+    out
+}
+
+/// `src=10.0.0.0/8` under the root.
+fn src_8() -> Vec<u8> {
+    entry(0, SRC_IP, &[(8, &[10])])
+}
+
+/// Asserts that `buf` decodes to an error whose message contains
+/// `expect` — proof that the intended check refused it.
+fn assert_refused(buf: &[u8], expect: &str) {
+    match decode_stored_summary(buf) {
+        Ok(_) => panic!("decoder accepted a frame that needs `{expect}`"),
+        Err(e) => assert!(
+            e.to_string().contains(expect),
+            "expected `{expect}`, got `{e}`"
+        ),
+    }
+}
+
+#[test]
+fn hand_written_frames_decode() {
+    // The control for every attack below: the same helpers, well formed.
+    let entries = [
+        src_8(),
+        entry(0, SRC_IP, &[(16, &[1])]), // 10.1.0.0/16 under /8
+        entry(1, SRC_IP, &[(16, &[2])]), // 10.2.0.0/16: pop 10.1, under /8
+        entry(2, PROTO, &[(8, &[17])]),  // proto 17: pop to the root
+    ]
+    .concat();
+    let decoded = decode_stored_summary(&frame(4, &entries)).expect("well-formed frame");
+    let Summary::Flowtree(tree) = decoded.summary else {
+        panic!("not a flowtree");
+    };
+    assert_eq!(tree.len(), 5);
+    assert_eq!(tree.total().value(), 4);
+    let depths: Vec<usize> = tree.preorder().map(|n| n.depth).collect();
+    assert_eq!(depths, [0, 1, 2, 2, 1]);
+}
+
+#[test]
+fn flowtree_frame_up_link_above_the_root_is_refused() {
+    assert_refused(
+        &frame(1, &entry(1, SRC_IP, &[(8, &[10])])),
+        "above the root",
+    );
+    // One entry deep, popping two leaves nothing on the path.
+    let entries = [src_8(), entry(2, SRC_IP, &[(8, &[11])])].concat();
+    assert_refused(&frame(2, &entries), "above the root");
+}
+
+#[test]
+fn flowtree_frame_empty_field_mask_is_refused() {
+    // Two spare bytes, so the five-bytes-per-entry bound does not refuse
+    // the three-byte entry first.
+    let entries = [entry(0, 0, &[]), vec![0, 0]].concat();
+    assert_refused(&frame(1, &entries), "field mask empty");
+}
+
+#[test]
+fn flowtree_frame_reserved_field_bits_are_refused() {
+    for reserved in [1 << 5, 1 << 6, 1 << 7] {
+        let buf = frame(1, &entry(0, SRC_IP | reserved, &[(8, &[10])]));
+        assert_refused(&buf, "reserved bit");
+    }
+}
+
+#[test]
+fn flowtree_frame_mask_length_not_longer_than_parent_is_refused() {
+    // From the root, a length of 0 changes nothing (one spare byte keeps
+    // the five-bytes-per-entry bound from refusing it first).
+    let entries = [entry(0, SRC_IP, &[(0, &[])]), vec![0]].concat();
+    assert_refused(&frame(1, &entries), "not longer");
+    // Under 10.0.0.0/8, another /8 would be a sibling, not a child.
+    let entries = [src_8(), entry(0, SRC_IP, &[(8, &[11])])].concat();
+    assert_refused(&frame(2, &entries), "not longer");
+}
+
+#[test]
+fn flowtree_frame_mask_length_beyond_field_width_is_refused() {
+    assert_refused(
+        &frame(1, &entry(0, PROTO, &[(9, &[6, 0])])),
+        "longer than field",
+    );
+    assert_refused(
+        &frame(1, &entry(0, SRC_IP, &[(33, &[1, 2, 3, 4, 0])])),
+        "longer than field",
+    );
+}
+
+#[test]
+fn flowtree_frame_nonzero_padding_is_refused() {
+    // A /4 carries four value bits in one byte; the high four are padding.
+    assert_refused(&frame(1, &entry(0, SRC_IP, &[(4, &[0x1a])])), "padding");
+    // 10.0.0.0/8 → /20: twelve bits in two bytes.
+    let entries = [src_8(), entry(0, SRC_IP, &[(20, &[0, 0x10])])].concat();
+    assert_refused(&frame(2, &entries), "padding");
+}
+
+#[test]
+fn flowtree_frame_off_ladder_length_is_refused() {
+    // Well-formed delta, zero padding, but /4 is not a rung of the schema.
+    assert_refused(
+        &frame(1, &entry(0, SRC_IP, &[(4, &[0x0a])])),
+        "off the schema ladder",
+    );
+}
+
+#[test]
+fn flowtree_frame_duplicate_key_is_refused() {
+    let entries = [src_8(), entry(1, SRC_IP, &[(8, &[10])])].concat();
+    assert_refused(&frame(2, &entries), "duplicate key");
+}
+
+#[test]
+fn flowtree_frame_count_beyond_budget_is_refused() {
     let (stored, n) = flowtree_summary();
     let mut buf = encode_stored_summary(&stored);
-    assert_eq!(
-        decode_stored_summary(&buf).as_ref().map(|s| &s.source),
-        Ok(&stored.source),
-        "clean frame must round-trip"
-    );
-    let node_section = buf.len() - n * NODE_WIRE;
-    patch(&mut buf, node_section, n);
-    assert!(
-        decode_stored_summary(&buf).is_err(),
-        "{what}: decoder accepted a corrupt arena frame"
-    );
-}
-
-/// Byte offset of node `i`'s parent field within the encoding.
-fn parent_at(node_section: usize, i: usize) -> usize {
-    node_section + i * NODE_WIRE + 25 + 8
+    // … [capacity u64][compact_ratio f64][records u64] end the prefix. A
+    // capacity of 1 puts the real tree's node count beyond the budget.
+    assert!(n > FlowtreeConfig::default().with_capacity(1).node_budget());
+    let at = frame_prefix().len() - 8 - 8 - 8;
+    buf[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+    assert_refused(&buf, "exceeds budget");
 }
 
 #[test]
-fn arena_frame_self_parent_cycle_is_rejected() {
-    assert_rejected("self-cycle", |buf, nodes, n| {
-        assert!(n > 2);
-        let at = parent_at(nodes, 2);
-        buf[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
-    });
+fn flowtree_frame_count_beyond_remaining_bytes_is_refused() {
+    // Bounded by the bytes left before anything is allocated.
+    assert_refused(&frame(u32::MAX, &src_8()), "truncated flowtree nodes");
 }
 
 #[test]
-fn arena_frame_forward_parent_is_rejected() {
-    assert_rejected("forward parent", |buf, nodes, n| {
-        let at = parent_at(nodes, 1);
-        buf[at..at + 4].copy_from_slice(&((n as u32) - 1).to_le_bytes());
-    });
+fn flowtree_frame_truncated_varints_are_refused() {
+    // The score's continuation bit promises a byte that never comes.
+    let mut entries = src_8();
+    *entries.last_mut().unwrap() = 0x80;
+    assert_refused(&frame(1, &entries), "truncated flowtree node score");
+    // A root score cut the same way.
+    let mut buf = frame_prefix();
+    buf.push(0xff);
+    assert_refused(&buf, "truncated flowtree root score");
 }
 
 #[test]
-fn arena_frame_out_of_range_parent_is_rejected() {
-    assert_rejected("out-of-range parent", |buf, nodes, _| {
-        let at = parent_at(nodes, 1);
-        buf[at..at + 4].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
-    });
-}
-
-#[test]
-fn arena_frame_root_without_sentinel_is_rejected() {
-    assert_rejected("root parent", |buf, nodes, _| {
-        let at = parent_at(nodes, 0);
-        buf[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
-    });
-}
-
-#[test]
-fn arena_frame_duplicate_key_is_rejected() {
-    assert_rejected("duplicate key", |buf, nodes, n| {
-        assert!(n > 3);
-        let (src, dst) = (nodes + 2 * NODE_WIRE, nodes + 3 * NODE_WIRE);
-        let key: Vec<u8> = buf[src..src + 25].to_vec();
-        buf[dst..dst + 25].copy_from_slice(&key);
-    });
-}
-
-#[test]
-fn arena_frame_count_beyond_budget_is_rejected() {
-    assert_rejected("budget", |buf, nodes, _| {
-        // The config header precedes the node section:
-        // … [capacity u64][compact_ratio f64][records u64][count u32][nodes].
-        // A capacity of 1 makes the claimed node count exceed the node
-        // budget, which the decoder must bound *before* building anything.
-        let at = nodes - 4 - 8 - 8 - 8;
-        buf[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
-    });
+fn flowtree_frame_over_long_varints_are_refused() {
+    // A redundant zero final byte: 1 written as two bytes.
+    let mut entries = src_8();
+    entries.pop();
+    entries.extend_from_slice(&[0x81, 0x00]);
+    assert_refused(&frame(1, &entries), "over-long varint");
+    // Eleven bytes, or a tenth byte carrying bits beyond 64.
+    let mut up = vec![0x80; 10];
+    up.push(0x00);
+    up.extend_from_slice(&src_8()[1..]);
+    assert_refused(&frame(1, &up), "over-long varint");
+    let mut up = vec![0xff; 9];
+    up.push(0x02);
+    up.extend_from_slice(&src_8()[1..]);
+    assert_refused(&frame(1, &up), "over-long varint");
 }
 
 proptest! {
@@ -347,5 +464,15 @@ proptest! {
         let len = buf.len();
         buf[at % len] ^= 1 << bit;
         let _ = decode_stored_summary(&buf);
+    }
+
+    /// Arbitrary node sections behind a valid header: Ok or a typed
+    /// error, never a panic.
+    #[test]
+    fn random_node_sections_never_panic(
+        count in 0u32..64,
+        entries in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = decode_stored_summary(&frame(count, &entries));
     }
 }

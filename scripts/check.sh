@@ -38,25 +38,27 @@ cargo test --test profile_e2e --test accounting_props -q
 echo "==> arena vs pointer-oracle differential harness"
 cargo test --test arena_differential -q
 
-echo "==> E2 + E3 + E11 + E13 + E18 + E19 smoke: operator, export-path, overhead-matrix, arena and trigger-window benches run end-to-end"
+echo "==> E2 + E3 + E11 + E13 + E17 + E18 + E19 smoke: operator, export-path, overhead-matrix, durability, arena and trigger-window benches run end-to-end"
 # `-- --test` runs each Criterion routine once, untimed, after the
 # experiment table; this proves the operator and arena/oracle benches
 # still build and execute end-to-end. E3 drives the export path through a
 # bare StoreHierarchy and E13 through Flowstream under outages; E11 runs
-# one round of every telemetry arm; E19 feeds a flow-score trigger 1x, 4x
-# and 16x the attack rate.
+# one round of every telemetry arm; E17 journals through the cold tier
+# under every sync policy (the only bench over it); E19 feeds a
+# flow-score trigger 1x, 4x and 16x the attack rate.
 cargo bench -q -p megastream-bench --bench e2_flowtree_ops -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e11_overhead_matrix -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e3_hierarchy -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e13_fault_tolerance -- --test >/dev/null
+cargo bench -q -p megastream-bench --bench e17_durability_overhead -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e18_arena_merge -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e19_trigger_window -- --test >/dev/null
 
 echo "==> durability: kill-and-restart recovery e2e"
 cargo test --test durability_e2e -q
 
-echo "==> durability: codec roundtrip properties + corruption fuzz + fsck CLI"
-cargo test -p megastream-storage --test roundtrip_props --test corruption_fuzz --test fsck_cli -q
+echo "==> durability: codec roundtrip properties + corruption fuzz + fsck CLI + format-version refusals"
+cargo test -p megastream-storage --test roundtrip_props --test corruption_fuzz --test fsck_cli --test format_version -q
 
 echo "==> mega-fsck verifies a quickstart-produced store (exit 0)"
 cargo run -q --release --example quickstart -- --durable target/quickstart-store >/dev/null
