@@ -3,12 +3,13 @@
 //! the `Parallelism::Sequential` oracle.
 //!
 //! An 8-region Flowstream deployment (9 indexed locations with the NOC)
-//! answers the E14 grouped query under 1/2/4/8 workers; a flat 8-leaf
-//! store hierarchy rotates one epoch per setting. The report prints the
-//! latency table with a speedup column — `tests/parallel_e2e.rs` proves
-//! the answers themselves are identical, this experiment measures what
-//! the parallelism buys. The target figure is ≥2x fan-out speedup at 4
-//! threads.
+//! answers the E14 grouped query under 1/2/4/8 workers, and the whole
+//! canonical query set under `Sequential` and `Threads(2)` with the
+//! summaries each pass merges; a flat 8-leaf store hierarchy rotates one
+//! epoch per setting. The report prints the latency tables with a speedup
+//! column — `tests/parallel_e2e.rs` proves the answers themselves are
+//! identical, this experiment measures what the parallelism buys. The
+//! target figure is ≥2x fan-out speedup at 4 threads.
 
 use std::time::Instant;
 
@@ -30,6 +31,21 @@ const RUN_SECS: u64 = 300;
 /// The E14 grouped query: one merge + operator run per location, the
 /// fan-out shape that parallelizes across workers.
 const QUERY: &str = "SELECT TOPK 3 FROM ALL GROUP BY location";
+
+/// The canonical query set (EXPERIMENTS.md §E14, mirrored verbatim in
+/// `tests/parallel_e2e.rs`).
+const CANONICAL: [&str; 10] = [
+    "SELECT QUERY FROM ALL WHERE src_ip = 10.0.0.0/8",
+    "SELECT QUERY FROM ALL WHERE src_ip = 10.0.0.0/8 GROUP BY location",
+    "SELECT TOPK 5 FROM ALL",
+    "SELECT TOPK 3 FROM ALL GROUP BY location",
+    "SELECT ABOVE 500 FROM ALL",
+    "SELECT HHH 2000 FROM ALL",
+    "SELECT DRILLDOWN FROM ALL WHERE src_ip = 10.0.0.0/8",
+    "SELECT QUERY FROM [0, 60) WHERE src_ip = 10.0.0.0/8",
+    "SELECT QUERY FROM ALL WHERE location = \"region-0\"",
+    "SELECT TOPK 5 FROM [60, 240) WHERE dst_ip = 0.0.0.0/0",
+];
 
 const SETTINGS: [Parallelism; 4] = [
     Parallelism::Sequential,
@@ -91,6 +107,41 @@ fn query_scaling_report(fs: &mut Flowstream) {
         println!(
             "{:>12} {:>12} {:>8.2}",
             par.to_string(),
+            us,
+            sequential_us as f64 / us.max(1) as f64
+        );
+    }
+    fs.set_parallelism(Parallelism::default());
+}
+
+/// One pass over the canonical set per setting: the summaries the pass
+/// merges (`QueryCost::summaries`, identical for every setting) and the
+/// median pass time of 5.
+fn canonical_set_report(fs: &mut Flowstream) {
+    rule("E14 — canonical query set: summaries merged and pass latency vs workers");
+    println!(
+        "{:>12} {:>10} {:>12} {:>8}",
+        "parallelism", "summaries", "pass_us", "speedup"
+    );
+    let mut sequential_us = 0u64;
+    for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+        fs.set_parallelism(par);
+        let summaries: usize = CANONICAL
+            .iter()
+            .map(|q| fs.query(q).expect("canonical query").cost.summaries)
+            .sum();
+        let us = time_micros(5, || {
+            for q in CANONICAL {
+                fs.query(q).expect("canonical query");
+            }
+        });
+        if par == Parallelism::Sequential {
+            sequential_us = us;
+        }
+        println!(
+            "{:>12} {:>10} {:>12} {:>8.2}",
+            par.to_string(),
+            summaries,
             us,
             sequential_us as f64 / us.max(1) as f64
         );
@@ -177,6 +228,7 @@ fn pump_scaling_report() {
 fn bench_parallel_scaling(c: &mut Criterion) {
     let mut fs = loaded_deployment();
     query_scaling_report(&mut fs);
+    canonical_set_report(&mut fs);
     pump_scaling_report();
 
     let mut group = c.benchmark_group("e14_parallel_scaling");

@@ -7,21 +7,27 @@
 //! error and degrades gracefully as the budget shrinks; Space-Saving only
 //! answers exact-key queries (no prefixes); Count-Min overestimates the
 //! tail. The ablation shows the dst-/src-preserving orders trading one
-//! side's accuracy for the other's.
+//! side's accuracy for the other's. The same method scores FlowQL's
+//! `FROM ALL` plans over the store hierarchy: every indexed summary (NOC
+//! epochs on top of the region summaries they aggregate), the cover, and
+//! the region summaries alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use megastream_bench::{flow_trace, rule};
 use megastream_flow::key::{FeatureSet, FlowKey};
 use megastream_flow::mask::GeneralizationSchema;
 use megastream_flow::record::FlowRecord;
 use megastream_flow::score::{Popularity, ScoreKind};
+use megastream_flow::time::TimeDelta;
+use megastream_flowdb::{parse, DbEntry};
 use megastream_flowtree::{Flowtree, FlowtreeConfig};
 use megastream_primitives::aggregator::ComputingPrimitive;
 use megastream_primitives::cms::CountMinSketch;
 use megastream_primitives::exact::ExactFlowTable;
 use megastream_primitives::spacesaving::SpaceSaving;
+use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};
 
 fn trace() -> Vec<FlowRecord> {
     flow_trace(2026, 500.0, 240, 1.1)
@@ -173,9 +179,96 @@ fn ablation_report() {
     println!("(each preserving order wins on its own side — property P5 is a real dial)");
 }
 
+/// Merges a plan's trees the way FlowDB's fan-out does: per location in
+/// insertion order, then the partials in location order.
+fn merge_plan(entries: &[&DbEntry]) -> Flowtree {
+    let mut by_location: BTreeMap<&str, Flowtree> = BTreeMap::new();
+    for e in entries {
+        by_location
+            .entry(e.location.as_str())
+            .and_modify(|t| t.merge(&e.tree))
+            .or_insert_with(|| e.tree.clone());
+    }
+    let mut partials = by_location.into_values();
+    let mut out = partials.next().expect("a plan is never empty");
+    for partial in partials {
+        out.merge(&partial);
+    }
+    out
+}
+
+/// The E7 method on perfbench's `query` shape, seed 1: 4 regions × 2
+/// routers, 30 s epochs, 400 flows/s for 300 s, so 40 region summaries
+/// and 2 NOC epochs. Each `FROM ALL` plan's merged tree is scored against
+/// the exact table of the trace.
+fn plan_accuracy_report() {
+    use megastream::flowstream::{Flowstream, FlowstreamConfig};
+    rule("E7 method — FROM ALL plans over the store hierarchy (perfbench `query` shape, seed 1)");
+    let trace: Vec<FlowRecord> = FlowTraceGenerator::new(FlowTraceConfig {
+        seed: 1,
+        flows_per_sec: 400.0,
+        duration: TimeDelta::from_secs(300),
+        ..Default::default()
+    })
+    .collect();
+    let mut fs = Flowstream::new(
+        4,
+        2,
+        FlowstreamConfig {
+            epoch_len: TimeDelta::from_secs(30),
+            ..Default::default()
+        },
+    );
+    let mut exact = ExactFlowTable::new(FeatureSet::FIVE_TUPLE, ScoreKind::Packets);
+    for r in &trace {
+        fs.ingest_round_robin(r);
+        exact.observe(r);
+    }
+    fs.finish();
+    let threshold = Popularity::new(exact.total().value() / 200); // 0.5 %
+    println!(
+        "exact table: {} keys, {} bytes, total {} packets",
+        exact.len(),
+        exact.footprint_bytes(),
+        exact.total()
+    );
+    let db = fs.flowdb();
+    let all = parse("SELECT QUERY FROM ALL").expect("valid FlowQL");
+    let plans: [(&str, Vec<&DbEntry>); 3] = [
+        ("every entry", db.entries().iter().collect()),
+        ("cover", db.cover(&all, &BTreeSet::new())),
+        (
+            "region entries",
+            db.entries().iter().filter(|e| e.covers.is_none()).collect(),
+        ),
+    ];
+    println!(
+        "{:<15} {:>9} {:>10} {:>8} {:>8} {:>7} {:>7}",
+        "plan", "summaries", "total", "top20mre", "pfx mre", "hhh P", "hhh R"
+    );
+    for (name, entries) in plans {
+        let tree = merge_plan(&entries);
+        let (p, rcl) = hhh_precision_recall(&tree, &exact, threshold);
+        println!(
+            "{:<15} {:>9} {:>10} {:>8.3} {:>8.3} {:>7.2} {:>7.2}",
+            name,
+            entries.len(),
+            tree.total().value(),
+            top_k_mre(|k| tree.query(k).value(), &exact, 20),
+            prefix_mre(&tree, &exact),
+            p,
+            rcl
+        );
+    }
+    println!(
+        "('every entry' is the selection before the cover: NOC epochs on top of their regions)"
+    );
+}
+
 fn bench_flowstream(c: &mut Criterion) {
     accuracy_report();
     ablation_report();
+    plan_accuracy_report();
 
     let mut group = c.benchmark_group("e7_flowstream");
     group.sample_size(10);

@@ -11,7 +11,9 @@
 //! are the children of a network-wide (NOC) store in a [`StoreHierarchy`],
 //! whose pump exports each epoch's summaries up to the NOC. An observer of
 //! that pump indexes what reaches the NOC in a [`FlowDb`] and journals
-//! it, and FlowQL queries run against the index.
+//! it. Each NOC epoch is indexed as the aggregate of the region summaries
+//! that reached the NOC during it, and FlowQL queries are planned over
+//! that coverage so every region summary counts once.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -26,7 +28,7 @@ use megastream_flow::mask::GeneralizationSchema;
 use megastream_flow::record::FlowRecord;
 use megastream_flow::score::ScoreKind;
 use megastream_flow::time::{TimeDelta, Timestamp};
-use megastream_flowdb::{FlowDb, Parallelism, QueryResult};
+use megastream_flowdb::{EntryId, FlowDb, Parallelism, QueryResult};
 use megastream_flowtree::FlowtreeConfig;
 use megastream_netsim::hierarchy::IspTopology;
 use megastream_netsim::topology::{Network, NodeId};
@@ -225,6 +227,9 @@ pub struct Flowstream {
     /// region → NOC exports.
     hierarchy: StoreHierarchy,
     flowdb: FlowDb,
+    /// The region entries that reached the NOC since its previous
+    /// rotation: the coverage of the next NOC entry.
+    noc_pending: Vec<EntryId>,
     /// Raw bytes received per (region, router) in the current epoch —
     /// transferred in one batch at rotation for link accounting.
     raw_pending: Vec<Vec<u64>>,
@@ -316,6 +321,7 @@ impl Flowstream {
             config,
             hierarchy,
             flowdb: FlowDb::new().with_parallelism(par),
+            noc_pending: Vec::new(),
             epoch_end,
             now: Timestamp::ZERO,
             rr: 0,
@@ -576,10 +582,10 @@ impl Flowstream {
         // ②–④ Rotation happens exactly at each region's epoch end, so the
         // pump's `epoch_due` filter picks every region.
         debug_assert!((0..self.regions()).all(|g| self.region_store(g).epoch_due(at)));
-        let (flowdb, cold) = (&mut self.flowdb, &mut self.cold);
+        let (flowdb, pending, cold) = (&mut self.flowdb, &mut self.noc_pending, &mut self.cold);
         let stats = self
             .hierarchy
-            .pump_with(at, &mut |event| observe(flowdb, cold, event))
+            .pump_with(at, &mut |event| observe(flowdb, pending, cold, event))
             .unwrap_or_else(|e| panic!("regions are connected to the noc: {e}"));
         self.exports += stats;
         if cold_active(&self.cold) {
@@ -716,7 +722,12 @@ impl Flowstream {
             if g < regions {
                 let event = PumpEvent::Edge(outcome, region_id(g), summary);
                 // No tier is attached yet, so this indexes without journaling.
-                observe(&mut self.flowdb, &mut self.cold, event);
+                observe(
+                    &mut self.flowdb,
+                    &mut self.noc_pending,
+                    &mut self.cold,
+                    event,
+                );
                 self.hierarchy.replay(outcome, region_id(g), summary, at);
             }
         }
@@ -724,7 +735,12 @@ impl Flowstream {
         if noc.epoch_due(at) {
             for summary in noc.rotate_epoch(at) {
                 let event = PumpEvent::RootRotated(NOC, &summary);
-                observe(&mut self.flowdb, &mut self.cold, event);
+                observe(
+                    &mut self.flowdb,
+                    &mut self.noc_pending,
+                    &mut self.cold,
+                    event,
+                );
             }
         }
         self.epoch_end = at + self.config.epoch_len;
@@ -780,12 +796,12 @@ impl Flowstream {
     }
 
     /// Runs a FlowQL query against the indexed summaries (⑤), under the
-    /// configured [`DegradationPolicy`].
-    ///
-    /// Note that `noc`-level summaries cover the same traffic as the
-    /// per-region ones; restrict by `location` to avoid double counting
-    /// when both are indexed, or query only region locations (the default
-    /// examples do).
+    /// configured [`DegradationPolicy`]. Every region summary that reached
+    /// the NOC counts once: a query without a `location` restriction reads
+    /// a NOC epoch in place of the region summaries it aggregates when all
+    /// of them match, and their own summaries otherwise; `GROUP BY
+    /// location` and `location = "region-<g>"` read region summaries, and
+    /// `location = "noc"` the NOC's own epochs.
     ///
     /// # Errors
     ///
@@ -841,7 +857,8 @@ impl Flowstream {
     /// stages (plan, per-location fan-out, merge, operator) underneath.
     /// With unreachable locations, the root is annotated with the policy,
     /// the unreachable set, and the result's completeness — so `explain`
-    /// shows *why* a result is partial.
+    /// shows *why* a result is partial. `FailFast` names the unreachable
+    /// locations the plan needed, not every unreachable one.
     fn query_with(
         &self,
         flowql: &str,
@@ -874,13 +891,7 @@ impl Flowstream {
             root.annotate("completeness", result.completeness);
             match policy {
                 DegradationPolicy::FailFast => Err(FlowstreamError::Unreachable {
-                    locations: self
-                        .flowdb
-                        .locations()
-                        .into_iter()
-                        .filter(|l| unavailable.contains(*l))
-                        .map(str::to_owned)
-                        .collect(),
+                    locations: result.skipped,
                 }),
                 DegradationPolicy::Partial => {
                     self.partial_queries.fetch_add(1, Ordering::Relaxed);
@@ -912,7 +923,10 @@ impl Flowstream {
     /// Runs a FlowQL query under a throwaway handle that traces every query
     /// and returns both the result and its rendered span tree — `EXPLAIN
     /// ANALYZE` for FlowQL. Works whether or not the deployment traces, and
-    /// leaves nothing in the deployment's own sinks.
+    /// leaves nothing in the deployment's own sinks. The `flowdb.plan` span
+    /// lists every summary the answer merged (`summary=<location> <window>
+    /// mass=<total>`, plus `covers=<n>` for a NOC epoch read in place of
+    /// `n` region summaries).
     ///
     /// # Errors
     ///
@@ -1046,9 +1060,25 @@ fn cold_op(
 /// deliveries under `region-<g>`, the NOC's own epochs under `noc`. A
 /// parked summary is indexed only at its flush, because data that has not
 /// reached the NOC must not be queryable there.
-fn observe(flowdb: &mut FlowDb, cold: &mut Option<ColdTier>, event: PumpEvent<'_>) {
-    let (location, summary) = match event {
-        PumpEvent::RootRotated(_, summary) => ("noc".to_owned(), summary),
+///
+/// Coverage follows the event order: the region entries delivered
+/// (exported or flushed) since the NOC's previous rotation are exactly
+/// what the NOC's live tree absorbed, so the next NOC epoch is indexed as
+/// their aggregate. Recovery replays the same events in the same order and
+/// so rebuilds the same coverage.
+fn observe(
+    flowdb: &mut FlowDb,
+    noc_pending: &mut Vec<EntryId>,
+    cold: &mut Option<ColdTier>,
+    event: PumpEvent<'_>,
+) {
+    match event {
+        PumpEvent::RootRotated(_, summary) => {
+            if let Summary::Flowtree(tree) = &summary.summary {
+                let covers = std::mem::take(noc_pending);
+                flowdb.insert_covering("noc", summary.window, tree.clone(), covers);
+            }
+        }
         PumpEvent::Edge(outcome, store, summary) => {
             let region = store.0 - 1;
             if cold_active(cold) {
@@ -1063,11 +1093,11 @@ fn observe(flowdb: &mut FlowDb, cold: &mut Option<ColdTier>, event: PumpEvent<'_
             if outcome == EdgeOutcome::Parked {
                 return;
             }
-            (format!("region-{region}"), summary)
+            if let Summary::Flowtree(tree) = &summary.summary {
+                let id = flowdb.insert(format!("region-{region}"), summary.window, tree.clone());
+                noc_pending.push(id);
+            }
         }
-    };
-    if let Summary::Flowtree(tree) = &summary.summary {
-        flowdb.insert(location, summary.window, tree.clone());
     }
 }
 

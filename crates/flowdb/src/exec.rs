@@ -1,10 +1,17 @@
 //! FlowQL query execution.
 //!
-//! Execution follows the §VI composition: select the summaries matching the
-//! `FROM`/`location` clauses, `Merge` them ("A12 = compress(A1 ∪ A2)"),
-//! then run the selected Flowtree operator restricted to the WHERE key.
-//! With `GROUP BY location`, the merge-and-operate step runs once per
+//! Execution follows the §VI composition: plan the summaries the
+//! `FROM`/`location` clauses select, `Merge` them ("A12 = compress(A1 ∪
+//! A2)"), then run the selected Flowtree operator restricted to the WHERE
+//! key. With `GROUP BY location`, the merge-and-operate step runs once per
 //! location instead of across all of them.
+//!
+//! The plan is a *cover* of the index's coverage forest
+//! ([`FlowDb`](crate::FlowDb)): each matching summary is merged exactly
+//! once, and an aggregate (a NOC epoch) is read in place of the region
+//! summaries it covers when all of them match — paper Fig. 5 ③–④, where
+//! the network store "further aggregates" region summaries and uses them
+//! to answer queries.
 //!
 //! The merge step is structured as a **per-location fan-out** (property P2:
 //! summaries combine across location): each contacted location's trees
@@ -21,7 +28,7 @@ use std::fmt;
 use megastream_flow::key::FlowKey;
 use megastream_flow::score::Popularity;
 use megastream_flowtree::Flowtree;
-use megastream_telemetry::{clock, Telemetry, LATENCY_MICROS_BOUNDS};
+use megastream_telemetry::{clock, Scope, Telemetry, LATENCY_MICROS_BOUNDS};
 
 use crate::ast::{Query, SelectOp};
 use crate::db::FlowDb;
@@ -190,6 +197,9 @@ pub struct QueryResult {
     /// Locations reached vs matching (always complete outside degraded
     /// executions).
     pub completeness: Completeness,
+    /// The unreachable locations the plan needed and skipped, sorted
+    /// (empty when the result is complete).
+    pub skipped: Vec<String>,
     /// Resource accounting for the execution that produced this result.
     pub cost: QueryCost,
 }
@@ -286,7 +296,7 @@ fn merge_group(trees: &[&Flowtree]) -> Result<Flowtree, QueryError> {
     Ok(merged)
 }
 
-/// One location's share of a fan-out: the matching trees, in storage
+/// One location's share of a fan-out: the planned trees, in insertion
 /// order, plus their wire bytes and materialized node counts (which feed
 /// both `fanout` span annotations and the result's [`QueryCost`]).
 struct LocationGroup<'a> {
@@ -296,11 +306,37 @@ struct LocationGroup<'a> {
     nodes: usize,
 }
 
-/// The plan stage: matching summaries grouped by location, in location
-/// order (`BTreeMap` iteration), each group's trees in storage order.
-fn plan_groups<'a>(db: &'a FlowDb, query: &'a Query) -> Vec<LocationGroup<'a>> {
+/// The plan stage: the query's cover ([`FlowDb::cover`]) grouped by
+/// location, in location order (`BTreeMap` iteration), each group's trees
+/// in insertion order. When `scope` records, each planned summary is
+/// annotated with its location, window and mass, and an aggregate with
+/// how many entries it stands for.
+fn plan_groups<'a>(
+    db: &'a FlowDb,
+    query: &Query,
+    unavailable: &BTreeSet<String>,
+    scope: &mut Scope,
+) -> Vec<LocationGroup<'a>> {
     let mut by_location: BTreeMap<&str, LocationGroup<'a>> = BTreeMap::new();
-    for entry in db.select(query) {
+    for entry in db.cover(query, unavailable) {
+        if scope.is_recording() {
+            let mass = entry.tree.total().value();
+            match &entry.covers {
+                Some(ids) => scope.annotate(
+                    "summary",
+                    format_args!(
+                        "{} {} mass={mass} covers={}",
+                        entry.location,
+                        entry.window,
+                        ids.len()
+                    ),
+                ),
+                None => scope.annotate(
+                    "summary",
+                    format_args!("{} {} mass={mass}", entry.location, entry.window),
+                ),
+            }
+        }
         let group = by_location
             .entry(entry.location.as_str())
             .or_insert_with(|| LocationGroup {
@@ -422,14 +458,15 @@ fn run_groups(
 /// Executes `query` against `db`, recording into `tel`; summaries of
 /// `unavailable` locations are left out. See [`FlowDb::execute_with`].
 ///
-/// The stages are scopes: `flowdb.plan` (summary selection and grouping,
-/// annotated with any `skipped` unreachable locations), then
-/// [`run_groups`]' fan-out, merge and operator. The result's
-/// [`QueryCost`] times plan, run and total whether or not `tel` is live;
-/// the run time also lands in `flowdb.run.micros`. The result's
-/// [`Completeness`] counts the matching locations consulted — all of them
-/// when none is unavailable. If every matching location is unavailable
-/// the result is empty (`0/n`), not an error.
+/// The stages are scopes: `flowdb.plan` (the cover and its grouping,
+/// annotated with every planned summary and any `skipped` unreachable
+/// locations), then [`run_groups`]' fan-out, merge and operator. The
+/// result's [`QueryCost`] times plan, run and total whether or not `tel`
+/// is live; the run time also lands in `flowdb.run.micros`. The result's
+/// [`Completeness`] counts the planned locations consulted — all of them
+/// when none is unavailable — and `skipped` names the others. If every
+/// planned location is unavailable the result is empty (`0/n`), not an
+/// error.
 pub(crate) fn execute(
     db: &FlowDb,
     query: &Query,
@@ -439,13 +476,13 @@ pub(crate) fn execute(
     let where_key = query.where_key();
     let clock_total = clock::start();
     let mut plan = tel.scope("flowdb.plan");
-    let (groups, skipped): (Vec<_>, Vec<_>) = plan_groups(db, query)
+    let (groups, skipped): (Vec<_>, Vec<_>) = plan_groups(db, query, unavailable, &mut plan)
         .into_iter()
         .partition(|group| !unavailable.contains(group.location));
     plan.add_records(groups.iter().map(|g| g.trees.len() as u64).sum());
-    if plan.is_recording() && !skipped.is_empty() {
-        let locations: Vec<&str> = skipped.iter().map(|g| g.location).collect();
-        plan.annotate("skipped", locations.join(","));
+    let skipped: Vec<String> = skipped.iter().map(|g| g.location.to_owned()).collect();
+    if !skipped.is_empty() {
+        plan.annotate("skipped", skipped.join(","));
     }
     plan.finish();
     let plan_micros = clock_total.elapsed_micros();
@@ -483,6 +520,7 @@ pub(crate) fn execute(
         summaries_used: used,
         rows,
         completeness,
+        skipped,
         cost,
     })
 }

@@ -42,7 +42,7 @@ pub mod par;
 pub mod parser;
 
 pub use ast::{Query, Restriction, SelectOp, TimeSelection};
-pub use db::FlowDb;
+pub use db::{DbEntry, EntryId, FlowDb};
 pub use exec::{Completeness, QueryCost, QueryError, QueryResult, ResultRow};
 pub use par::Parallelism;
 pub use parser::{parse, ParseError};

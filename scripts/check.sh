@@ -38,18 +38,27 @@ cargo test --test profile_e2e --test accounting_props -q
 echo "==> arena vs pointer-oracle differential harness"
 cargo test --test arena_differential -q
 
-echo "==> E2 + E3 + E11 + E13 + E17 + E18 + E19 smoke: operator, export-path, overhead-matrix, durability, arena and trigger-window benches run end-to-end"
+echo "==> FlowQL plan oracle + deterministic work-counter gate"
+# cover_oracle: every region summary counts once (exact packet mass per
+# FROM window, with and without an outage that parks and late-flushes).
+# work_counters: state/cold bytes, query costs, fsyncs, export and trigger
+# counts against tests/golden/work_counters.txt.
+cargo test --test cover_oracle --test work_counters -q
+
+echo "==> E2 + E3 + E11 + E13 + E14 + E17 + E18 + E19 smoke: operator, export-path, overhead-matrix, durability, query-plan fan-out, arena and trigger-window benches run end-to-end"
 # `-- --test` runs each Criterion routine once, untimed, after the
 # experiment table; this proves the operator and arena/oracle benches
 # still build and execute end-to-end. E3 drives the export path through a
 # bare StoreHierarchy and E13 through Flowstream under outages; E11 runs
-# one round of every telemetry arm; E17 journals through the cold tier
-# under every sync policy (the only bench over it); E19 feeds a
-# flow-score trigger 1x, 4x and 16x the attack rate.
+# one round of every telemetry arm; E14 runs the canonical query set over
+# FlowDB's plan and fan-out at every worker count; E17 journals through
+# the cold tier under every sync policy (the only bench over it); E19
+# feeds a flow-score trigger 1x, 4x and 16x the attack rate.
 cargo bench -q -p megastream-bench --bench e2_flowtree_ops -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e11_overhead_matrix -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e3_hierarchy -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e13_fault_tolerance -- --test >/dev/null
+cargo bench -q -p megastream-bench --bench e14_parallel_scaling -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e17_durability_overhead -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e18_arena_merge -- --test >/dev/null
 cargo bench -q -p megastream-bench --bench e19_trigger_window -- --test >/dev/null

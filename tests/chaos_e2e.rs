@@ -141,6 +141,61 @@ fn partial_query_degrades_while_failfast_refuses() {
     assert_eq!(obs.failfast_refused, vec!["region-1".to_string()]);
 }
 
+/// `FailFast` names the unreachable locations the plan needed, not every
+/// unreachable location that holds data: with region-1 and region-2 both
+/// cut off, a query restricted to region-1 names region-1 only, and once
+/// the NOC epoch of [0, 120) s aggregates everything indexed, an
+/// unrestricted query needs neither.
+#[test]
+fn failfast_names_only_the_locations_the_plan_needs() {
+    let mut fs = deployment();
+    let mut plan = FaultPlan::seeded(5);
+    for g in [1, 2] {
+        plan.link_down(
+            fs.region_node(g),
+            fs.noc_node(),
+            Timestamp::from_secs(OUTAGE_FROM),
+            Timestamp::from_secs(OUTAGE_UNTIL),
+        );
+    }
+    fs.network_mut().install_faults(plan);
+    let refused =
+        |fs: &Flowstream, q: &str| match fs.query_with_policy(q, DegradationPolicy::FailFast) {
+            Err(FlowstreamError::Unreachable { locations }) => locations,
+            other => panic!("{q}: FailFast must refuse, got {other:?}"),
+        };
+    let (mut before_noc, mut after_noc) = (false, false);
+    for rec in workload() {
+        if !before_noc && rec.ts >= Timestamp::from_secs(100) {
+            before_noc = true;
+            assert_eq!(
+                fs.unreachable_locations().into_iter().collect::<Vec<_>>(),
+                vec!["region-1".to_owned(), "region-2".to_owned()]
+            );
+            let restricted = "SELECT QUERY FROM ALL WHERE location = \"region-1\"";
+            assert_eq!(refused(&fs, restricted), vec!["region-1".to_owned()]);
+            assert_eq!(
+                refused(&fs, "SELECT QUERY FROM ALL"),
+                vec!["region-1".to_owned(), "region-2".to_owned()]
+            );
+        }
+        if !after_noc && rec.ts >= Timestamp::from_secs(130) {
+            after_noc = true;
+            let answer = fs
+                .query_with_policy("SELECT QUERY FROM ALL", DegradationPolicy::FailFast)
+                .expect("the reachable NOC epoch stands for every indexed region summary");
+            assert!(answer.completeness.is_complete());
+            assert!(answer.skipped.is_empty());
+            assert_eq!(
+                refused(&fs, "SELECT QUERY FROM ALL GROUP BY location").len(),
+                2
+            );
+        }
+        fs.ingest_round_robin(&rec);
+    }
+    assert!(before_noc && after_noc);
+}
+
 #[test]
 fn spilled_summaries_reaggregate_to_exact_no_fault_totals() {
     let obs = run_chaos(42);

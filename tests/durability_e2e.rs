@@ -5,8 +5,9 @@
 //! between rotations mid-WAL. After each kill the deployment is rebuilt
 //! from disk with [`Flowstream::recover`] and the client re-sends from the
 //! first unacknowledged record. The recovered system must converge
-//! **bit-identically** — region query results, live scores, accounted
-//! bytes, ingest statistics — with an oracle that never crashed, under
+//! **bit-identically** — region and unrestricted query results, the FlowDB
+//! index with its NOC coverage, live scores, accounted bytes, ingest
+//! statistics — with an oracle that never crashed, under
 //! both `Sequential` and `Threads(n)` parallelism. Torn tails and
 //! bit-flips are detected (nonzero `storage.recovery.*` counters), never
 //! panicked on, and `fsck` verifies the surviving store.
@@ -20,7 +21,7 @@ use megastream::{
 };
 use megastream_flow::key::FlowKey;
 use megastream_flow::record::FlowRecord;
-use megastream_flow::time::{TimeDelta, Timestamp};
+use megastream_flow::time::{TimeDelta, TimeWindow, Timestamp};
 use megastream_flowdb::QueryResult;
 use megastream_netsim::FaultPlan;
 use megastream_telemetry::Telemetry;
@@ -81,6 +82,11 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     region_results: Vec<QueryResult>,
+    /// Queries without a location restriction: planned over the coverage.
+    unrestricted_results: Vec<QueryResult>,
+    /// Every FlowDB entry: location, window, the ids it covers, tree total
+    /// and wire size.
+    index: Vec<IndexedEntry>,
     live_scores: Vec<u64>,
     noc_live: u64,
     accounted: Vec<usize>,
@@ -88,6 +94,8 @@ struct Fingerprint {
     flows: u64,
     raw_bytes: u64,
 }
+
+type IndexedEntry = (String, TimeWindow, Option<Vec<usize>>, u64, usize);
 
 fn fingerprint(fs: &Flowstream) -> Fingerprint {
     let region_results = (0..fs.regions())
@@ -98,9 +106,31 @@ fn fingerprint(fs: &Flowstream) -> Fingerprint {
             .expect("region location is indexed")
         })
         .collect();
+    let unrestricted_results = ["SELECT QUERY FROM ALL", "SELECT TOPK 5 FROM [60, 200)"]
+        .iter()
+        .map(|q| fs.query(q).expect("unrestricted query"))
+        .collect();
+    let index = fs
+        .flowdb()
+        .entries()
+        .iter()
+        .map(|e| {
+            (
+                e.location.clone(),
+                e.window,
+                e.covers
+                    .as_ref()
+                    .map(|ids| ids.iter().map(|id| id.index()).collect()),
+                e.tree.total().value(),
+                e.tree.wire_size(),
+            )
+        })
+        .collect();
     let stats = fs.stats();
     Fingerprint {
         region_results,
+        unrestricted_results,
+        index,
         live_scores: (0..fs.regions())
             .map(|g| fs.region_store(g).live_flow_score(&FlowKey::root()).value())
             .collect(),

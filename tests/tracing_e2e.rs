@@ -4,7 +4,7 @@
 //! Chrome export must be valid JSON, and concurrent emitters must never
 //! lose or cross-link spans.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use megastream::flowstream::{Flowstream, FlowstreamConfig};
 use megastream::hierarchy::StoreHierarchy;
@@ -12,6 +12,7 @@ use megastream_datastore::store::DataStore;
 use megastream_datastore::{AggregatorSpec, StorageStrategy};
 use megastream_flow::record::FlowRecord;
 use megastream_flow::time::{TimeDelta, Timestamp};
+use megastream_flowdb::FlowDb;
 use megastream_flowtree::FlowtreeConfig;
 use megastream_manager::manager::Manager;
 use megastream_netsim::topology::{LinkSpec, Network, NodeKind};
@@ -71,11 +72,40 @@ fn assert_connected(spans: &[&SpanRecord]) {
     }
 }
 
+/// The locations an unrestricted `FROM ALL` query plans over: every NOC
+/// epoch that aggregates region summaries, read in their place, plus every
+/// region summary no NOC epoch covers yet.
+fn unrestricted_plan_locations(db: &FlowDb) -> Vec<&str> {
+    let covered: BTreeSet<usize> = db
+        .entries()
+        .iter()
+        .filter_map(|e| e.covers.as_ref())
+        .flatten()
+        .map(|id| id.index())
+        .collect();
+    let mut out: Vec<&str> = db
+        .entries()
+        .iter()
+        .enumerate()
+        .filter(|(i, e)| match &e.covers {
+            Some(ids) => !ids.is_empty(),
+            None => !covered.contains(i),
+        })
+        .map(|(_, e)| e.location.as_str())
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 #[test]
 fn query_trace_has_one_fanout_span_per_contacted_location_plus_merge() {
     let (fs, tel) = traced_deployment();
-    // No location restriction: the query contacts every indexed location
-    // (both region stores and the NOC store).
+    // No location restriction: the query contacts the locations of its
+    // plan. The NOC epoch rotated at 120 s aggregates all eight region
+    // summaries, so the plan reads it alone.
+    let expected = unrestricted_plan_locations(fs.flowdb());
+    assert_eq!(expected, vec!["noc"]);
     fs.query("SELECT QUERY FROM ALL WHERE src_ip = 10.0.0.0/8")
         .expect("traced query");
     let snap = tel.trace_snapshot();
@@ -101,10 +131,9 @@ fn query_trace_has_one_fanout_span_per_contacted_location_plus_merge() {
         })
         .collect();
     fanout_locations.sort_unstable();
-    let expected: Vec<&str> = fs.flowdb().locations();
     assert_eq!(
         fanout_locations, expected,
-        "fanout must cover every location"
+        "fanout must cover every planned location"
     );
 
     // Exactly one merge span, also under the root, consuming what the
@@ -156,6 +185,51 @@ fn explain_analyze_works_without_an_attached_tracer() {
     assert!(explanation.tree.contains("location=region-0"));
     // The throwaway tracer left nothing behind on the deployment.
     assert!(fs.telemetry().trace_snapshot().is_empty());
+}
+
+#[test]
+fn explain_lists_the_summaries_whose_masses_make_the_answer() {
+    // 150 s at 30 s epochs: the NOC epoch rotated at 120 s aggregates the
+    // first eight region summaries; the two of [120, 150) are on their own.
+    let mut fs = Flowstream::new(
+        2,
+        2,
+        FlowstreamConfig {
+            epoch_len: TimeDelta::from_secs(30),
+            ..Default::default()
+        },
+    );
+    for rec in FlowTraceGenerator::new(FlowTraceConfig {
+        seed: 19,
+        flows_per_sec: 100.0,
+        duration: TimeDelta::from_secs(150),
+        ..Default::default()
+    }) {
+        fs.ingest_round_robin(&rec);
+    }
+    fs.finish();
+    let (result, explanation) = fs.explain("SELECT QUERY FROM ALL");
+    let answer = result.expect("explained query succeeds").rows[0].score;
+    let plan = explanation
+        .tree
+        .lines()
+        .find(|l| l.contains("flowdb.plan"))
+        .unwrap_or_else(|| panic!("no plan span in:\n{}", explanation.tree));
+    let listed: Vec<&str> = plan.split("  summary=").skip(1).collect();
+    assert_eq!(listed.len(), 3, "{plan}");
+    assert!(listed[0].starts_with("noc [0.000s, 120.000s) mass="));
+    assert!(listed[0].contains("covers=8"), "{plan}");
+    assert!(listed[1].starts_with("region-0 [120.000s, 150.000s) mass="));
+    assert!(listed[2].starts_with("region-1 [120.000s, 150.000s) mass="));
+    let masses: u64 = listed
+        .iter()
+        .map(|s| {
+            let mass = s.split("mass=").nth(1).expect("mass listed");
+            let digits: String = mass.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse::<u64>().expect("mass is a number")
+        })
+        .sum();
+    assert_eq!(masses, answer, "listed masses must make up the answer");
 }
 
 fn hierarchy_store(name: &str, epoch_secs: u64) -> DataStore {
