@@ -116,7 +116,7 @@ pub enum FlowstreamError {
     /// The query needs locations that are currently unreachable and the
     /// deployment runs [`DegradationPolicy::FailFast`].
     Unreachable {
-        /// The unreachable locations with matching data.
+        /// The unreachable locations the query's plan needed.
         locations: Vec<String>,
     },
 }
@@ -807,7 +807,7 @@ impl Flowstream {
     ///
     /// Returns [`FlowstreamError`] on parse or execution failures, and —
     /// under [`DegradationPolicy::FailFast`] with unreachable locations
-    /// holding matching data — [`FlowstreamError::Unreachable`].
+    /// the plan needs — [`FlowstreamError::Unreachable`].
     pub fn query(&self, flowql: &str) -> Result<QueryResult, FlowstreamError> {
         self.query_with(flowql, self.config.degradation, &self.tel)
     }

@@ -219,7 +219,7 @@ impl FlowDb {
     /// cover is never larger than the set of matching entries.
     pub fn cover(&self, query: &Query, unavailable: &BTreeSet<String>) -> Vec<&DbEntry> {
         let names = query.locations();
-        let matches: Vec<bool> = self
+        let mut read: Vec<bool> = self
             .entries
             .iter()
             .map(|e| {
@@ -231,35 +231,28 @@ impl FlowDb {
                     }
             })
             .collect();
-        if !names.is_empty() || query.group_by_location {
-            return self
-                .entries
-                .iter()
-                .zip(&matches)
-                .filter(|(_, &m)| m)
-                .map(|(e, _)| e)
-                .collect();
-        }
-        // Aggregates cover older entries only, so one forward pass decides
-        // which aggregates stand for matching entries alone, and one
-        // backward pass visits each aggregate before what it covers.
-        let mut whole = matches.clone();
-        for (i, e) in self.entries.iter().enumerate() {
-            if let Some(ids) = &e.covers {
-                whole[i] = !ids.is_empty() && ids.iter().all(|c| whole[c.0]);
+        if names.is_empty() && !query.group_by_location {
+            // Aggregates cover older entries only, so one forward pass
+            // decides which aggregates stand for matching entries alone,
+            // and one backward pass visits each aggregate before what it
+            // covers.
+            let mut whole = read.clone();
+            for (i, e) in self.entries.iter().enumerate() {
+                if let Some(ids) = &e.covers {
+                    whole[i] = !ids.is_empty() && ids.iter().all(|c| whole[c.0]);
+                }
             }
-        }
-        let mut read = matches;
-        let mut replaced = vec![false; self.entries.len()];
-        for (i, e) in self.entries.iter().enumerate().rev() {
-            let Some(ids) = &e.covers else {
-                read[i] &= !replaced[i];
-                continue;
-            };
-            read[i] = !replaced[i] && whole[i] && !unavailable.contains(&e.location);
-            if replaced[i] || read[i] {
-                for c in ids {
-                    replaced[c.0] = true;
+            let mut replaced = vec![false; self.entries.len()];
+            for (i, e) in self.entries.iter().enumerate().rev() {
+                let Some(ids) = &e.covers else {
+                    read[i] &= !replaced[i];
+                    continue;
+                };
+                read[i] = !replaced[i] && whole[i] && !unavailable.contains(&e.location);
+                if replaced[i] || read[i] {
+                    for c in ids {
+                        replaced[c.0] = true;
+                    }
                 }
             }
         }
@@ -281,10 +274,11 @@ impl FlowDb {
         self.execute_with(query, &BTreeSet::new(), &self.tel)
     }
 
-    /// Degraded execution: summaries from `unavailable` locations are
-    /// excluded and the result's
+    /// Degraded execution: the plan ([`FlowDb::cover`]) reads no
+    /// aggregate of an `unavailable` location, summaries from
+    /// `unavailable` locations are excluded, and the result's
     /// [`Completeness`](crate::exec::Completeness) records locations
-    /// reached vs matching. If every matching location is unavailable the
+    /// reached vs planned. If every planned location is unavailable the
     /// result is empty with completeness `0/n`, not an error.
     ///
     /// # Errors

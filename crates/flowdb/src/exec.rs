@@ -72,14 +72,14 @@ pub struct ResultRow {
 }
 
 /// How much of the queried data a result actually covers: the locations
-/// whose summaries were consulted vs the locations that matched the query.
-/// A degraded (partial) execution skips unreachable locations, so
+/// whose summaries were consulted vs the locations the query's plan
+/// needed. A degraded (partial) execution skips unreachable locations, so
 /// `reached < total` — see [`FlowDb::execute_partial`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completeness {
     /// Locations whose summaries contributed to the result.
     pub reached: usize,
-    /// Locations with summaries matching the query.
+    /// Locations holding summaries of the query's plan.
     pub total: usize,
 }
 
@@ -102,7 +102,7 @@ impl Completeness {
         }
     }
 
-    /// Whether every matching location was consulted.
+    /// Whether every planned location was consulted.
     pub fn is_complete(&self) -> bool {
         self.reached == self.total
     }
@@ -194,7 +194,7 @@ pub struct QueryResult {
     /// Result rows, most significant first (grouped queries order by
     /// location first).
     pub rows: Vec<ResultRow>,
-    /// Locations reached vs matching (always complete outside degraded
+    /// Locations reached vs planned (always complete outside degraded
     /// executions).
     pub completeness: Completeness,
     /// The unreachable locations the plan needed and skipped, sorted
@@ -321,21 +321,14 @@ fn plan_groups<'a>(
     for entry in db.cover(query, unavailable) {
         if scope.is_recording() {
             let mass = entry.tree.total().value();
-            match &entry.covers {
-                Some(ids) => scope.annotate(
-                    "summary",
-                    format_args!(
-                        "{} {} mass={mass} covers={}",
-                        entry.location,
-                        entry.window,
-                        ids.len()
-                    ),
-                ),
-                None => scope.annotate(
-                    "summary",
-                    format_args!("{} {} mass={mass}", entry.location, entry.window),
-                ),
-            }
+            let covers = entry
+                .covers
+                .as_ref()
+                .map_or_else(String::new, |ids| format!(" covers={}", ids.len()));
+            scope.annotate(
+                "summary",
+                format_args!("{} {} mass={mass}{covers}", entry.location, entry.window),
+            );
         }
         let group = by_location
             .entry(entry.location.as_str())
