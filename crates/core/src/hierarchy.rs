@@ -461,9 +461,10 @@ impl StoreHierarchy {
 
     /// Phase 2 of [`StoreHierarchy::pump`]: rotates the due stores of one
     /// level — sibling subtrees — on up to [`Parallelism::worker_count`]
-    /// scoped threads, returning each store's exported summaries in the
-    /// order `due` lists them. Records the worker count and per-worker busy
-    /// time under `hierarchy.pump.workers` / `hierarchy.pump.worker.micros`.
+    /// threads, the caller's included, returning each store's exported
+    /// summaries in the order `due` lists them. Records the thread count
+    /// and per-thread busy time under `hierarchy.pump.workers` /
+    /// `hierarchy.pump.worker.micros`.
     fn rotate_due(&mut self, due: &[usize], now: Timestamp) -> Vec<Vec<StoredSummary>> {
         let _rotate = self.tel.scope("hierarchy.rotate");
         let workers = self.par.worker_count(due.len());

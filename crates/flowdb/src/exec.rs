@@ -17,10 +17,13 @@
 //! summaries combine across location): each contacted location's trees
 //! merge into one partial, and the partials combine in fixed location
 //! order. The fan-out runs on up to
-//! [`Parallelism::worker_count`](crate::Parallelism) scoped worker
-//! threads; because the partials are merged back in location order no
-//! matter which thread produced them, every [`Parallelism`](crate::par)
-//! setting yields the same result (`tests/parallel_e2e.rs` pins this).
+//! [`Parallelism::worker_count`](crate::Parallelism) threads, the
+//! caller's included, and the caller folds each partial into the running
+//! merge as soon as it and every earlier one exist, so the cross-location
+//! merge overlaps the groups still running. Because the partials are
+//! folded in location order no matter which thread produced them or when,
+//! every [`Parallelism`](crate::par) setting yields the same result
+//! (`tests/parallel_e2e.rs` pins this).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -32,7 +35,7 @@ use megastream_telemetry::{clock, Scope, Telemetry, LATENCY_MICROS_BOUNDS};
 
 use crate::ast::{Query, SelectOp};
 use crate::db::FlowDb;
-use crate::par::fan_out;
+use crate::par::{fan_out, fold_in_order};
 
 /// A query-execution error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -360,16 +363,21 @@ fn cost_of_groups(groups: &[LocationGroup<'_>]) -> QueryCost {
 
 /// The fan-out + merge + operator stage: every group in `groups` is
 /// scanned — concurrently on up to
-/// [`Parallelism::worker_count`](crate::Parallelism) workers — and the
-/// partial results are combined **in location order**, so the outcome is
-/// independent of the worker count. Returns the result rows and the number
-/// of summaries used.
+/// [`Parallelism::worker_count`](crate::Parallelism) threads, the
+/// caller's included — and the partial results are combined **in location
+/// order**, so the outcome is independent of the thread count. Returns the
+/// result rows and the number of summaries used.
 ///
-/// Each location's scan is a `flowdb.fanout` scope; `fan_out` hands the
-/// caller's open scope to the workers, so the scopes nest under it from
-/// any thread. With `GROUP BY location` each carries its own
-/// `flowdb.merge`/`flowdb.operator` children, otherwise a single pair after
-/// the fan-out covers the cross-location combination.
+/// Each location's scan is a `flowdb.fanout` scope; the scheduler hands
+/// the caller's open scope to the worker threads, so the scopes nest under
+/// it from any thread. With `GROUP BY location` each carries its own
+/// `flowdb.merge`/`flowdb.operator` children. Otherwise the caller folds
+/// each partial into the running merge as soon as it and every earlier
+/// one exist ([`fold_in_order`]): one `flowdb.merge` scope per fold step,
+/// in location order, annotated with the partial's location, its summary
+/// count and how many groups were still `running` (a step with
+/// `running > 0` was folded while groups were still running), then one
+/// `flowdb.operator`.
 fn run_groups(
     db: &FlowDb,
     query: &Query,
@@ -419,9 +427,9 @@ fn run_groups(
         }
         return Ok((rows, used));
     }
-    // Merge fan-out: each location merges its own trees into a partial,
-    // then the partials combine in location order.
-    let partials = fan_out(
+    // Each location merges its own trees into a partial; the caller folds
+    // the partials in location order as they complete.
+    let merged = fold_in_order(
         groups,
         workers,
         |group| {
@@ -429,22 +437,28 @@ fn run_groups(
             scope.annotate("location", group.location);
             scope.add_records(group.trees.len() as u64);
             scope.add_bytes(group.bytes);
-            merge_group(&group.trees)
+            let partial = merge_group(&group.trees)?;
+            Ok((group.location, group.trees.len(), partial))
+        },
+        None,
+        |merged: &mut Option<Flowtree>, partial, running| {
+            let (location, summaries, partial) = partial?;
+            let mut step = tel.scope("flowdb.merge");
+            step.annotate("location", location);
+            step.annotate("running", running);
+            step.add_records(summaries as u64);
+            match merged {
+                None => *merged = Some(partial),
+                Some(merged) if merged.config().compatible_with(partial.config()) => {
+                    merged.merge(&partial);
+                }
+                Some(_) => return Err(QueryError::IncompatibleSummaries),
+            }
+            Ok(())
         },
         report,
-    );
-    let mut merge = tel.scope("flowdb.merge");
-    merge.add_records(used as u64);
-    let mut partials = partials.into_iter();
-    let mut merged = partials.next().ok_or(QueryError::NoMatchingSummaries)??;
-    for partial in partials {
-        let partial = partial?;
-        if !merged.config().compatible_with(partial.config()) {
-            return Err(QueryError::IncompatibleSummaries);
-        }
-        merged.merge(&partial);
-    }
-    merge.finish();
+    )?;
+    let merged = merged.ok_or(QueryError::NoMatchingSummaries)?;
     Ok((operate(&merged), used))
 }
 

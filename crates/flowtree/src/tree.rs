@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use megastream_flow::key::FlowKey;
+use megastream_flow::key::{Feature, FlowKey};
 use megastream_flow::record::FlowRecord;
 use megastream_flow::score::Popularity;
 
@@ -109,6 +109,27 @@ impl std::fmt::Display for FlatTreeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.what())
     }
+}
+
+/// [`Flowtree::compress_to`]'s heap key: `key` packed into one integer
+/// whose order is `FlowKey`'s `Ord`, so a heap comparison is two word
+/// compares instead of up to fifteen field compares.
+///
+/// `FlowKey` orders its fields lexicographically, each by `(value, mask
+/// length)`. Within one feature of width `w`, that order is the pre-order
+/// of the binary trie of prefixes (a prefix before everything it contains,
+/// the 0-branch before the 1-branch), and a prefix's pre-order rank is
+/// `2·value − popcount(value) + length`: the length steps down the path
+/// and every 1-bit at depth `d` skips the `2^(w−d) − 1` prefixes of the
+/// 0-branch beside it. The rank fits in `w + 1` bits, so the five fields
+/// take 9 + 33 + 33 + 17 + 17 = 109 bits, packed in field order.
+fn order_key(key: &FlowKey) -> u128 {
+    Feature::ALL.iter().fold(0u128, |packed, &feature| {
+        let field = key.field(feature);
+        let value = u128::from(field.value());
+        let rank = 2 * value - u128::from(field.value().count_ones()) + u128::from(field.len());
+        (packed << (feature.width() + 1)) | rank
+    })
 }
 
 /// The Flowtree summary structure. See the [crate docs](crate) for an
@@ -465,14 +486,17 @@ impl Flowtree {
         if self.len() <= target {
             return;
         }
-        // Min-heap of (own score, key, id) over current leaves.
-        let mut heap: BinaryHeap<Reverse<(u64, FlowKey, NodeId)>> = self
-            .arena
+        // Over target means at least one leaf folds, so the copy-on-write
+        // check is made once, here, not once per fold.
+        let arena = Arc::make_mut(&mut self.arena);
+        // Min-heap of (own score, key, id) over current leaves, the key
+        // packed so that it orders like the `FlowKey` itself.
+        let mut heap: BinaryHeap<Reverse<(u64, u128, NodeId)>> = arena
             .live_ids()
-            .filter(|&id| id != NodeId::ROOT && !self.arena.has_children(id))
+            .filter(|&id| id != NodeId::ROOT && !arena.has_children(id))
             .map(|id| {
-                let s = self.arena.slot(id);
-                Reverse((s.own.value(), s.key, id))
+                let s = arena.slot(id);
+                Reverse((s.own.value(), order_key(&s.key), id))
             })
             .collect();
         // A leaf known to be the minimum of everything still pending, taken
@@ -482,8 +506,8 @@ impl Flowtree {
         // old top — never a push followed by popping the same entry.
         // `(own, key)` is a strict total order over live nodes, so the
         // fold order is exactly that of pushing and popping.
-        let mut next: Option<(u64, FlowKey, NodeId)> = None;
-        while self.len() > target {
+        let mut next: Option<(u64, u128, NodeId)> = None;
+        while arena.len() > target {
             let Some((score, key, id)) = next.take().or_else(|| heap.pop().map(|e| e.0)) else {
                 break; // only the root remains
             };
@@ -491,21 +515,16 @@ impl Flowtree {
             // slot reused under a new key — or gained children, or its
             // score snapshot is outdated). Compression only frees slots,
             // but the key check also guards the general reuse case.
-            {
-                let s = self.arena.slot(id);
-                if s.key != key || s.own.value() != score || s.first_child.is_some() {
-                    continue;
-                }
+            let s = arena.slot(id);
+            if s.own.value() != score || s.first_child.is_some() || order_key(&s.key) != key {
+                continue;
             }
-            let (parent, own) = {
-                let s = self.arena.slot(id);
-                (s.parent, s.own)
-            };
-            self.arena_mut().slot_mut(parent).own += own;
-            self.detach_and_free(id);
-            if parent != NodeId::ROOT && !self.arena.has_children(parent) {
-                let s = self.arena.slot(parent);
-                let leaf = (s.own.value(), s.key, parent);
+            let (parent, own) = (s.parent, s.own);
+            arena.slot_mut(parent).own += own;
+            arena.free(id);
+            if parent != NodeId::ROOT && !arena.has_children(parent) {
+                let s = arena.slot(parent);
+                let leaf = (s.own.value(), order_key(&s.key), parent);
                 next = Some(match heap.peek_mut() {
                     Some(mut top) if top.0 < leaf => std::mem::replace(&mut *top, Reverse(leaf)).0,
                     _ => leaf,
@@ -908,7 +927,7 @@ impl PartialEq for Flowtree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use megastream_flow::key::FeatureSet;
+    use megastream_flow::key::{FeatureSet, MaskedField};
     use megastream_flow::score::ScoreKind;
     use proptest::prelude::*;
 
@@ -1235,6 +1254,89 @@ mod tests {
                 &FlowKey::from_record(&rec(&format!("10.{}.{}.1", i % 50, i), "1.1.1.1", 0)),
                 Popularity::new(1),
             );
+        }
+    }
+
+    /// A feature value of `width` bits: an end of the range (proto 255,
+    /// port 65535 and the all-ones address among them) for choices 0 and
+    /// 1, else `random` cut to the width.
+    fn pick(choice: u8, random: u32, width: u8) -> u32 {
+        let max = u32::MAX >> (32 - width);
+        match choice {
+            0 => 0,
+            1 => max,
+            _ => random & max,
+        }
+    }
+
+    /// A key with the five field values `pick`ed from `choices` and
+    /// `randoms`, generalized to the mask lengths `lens`.
+    fn key_at(choices: [u8; 5], randoms: [u32; 5], lens: [u8; 5]) -> FlowKey {
+        Feature::ALL
+            .iter()
+            .enumerate()
+            .fold(FlowKey::root(), |key, (i, &f)| {
+                let value = pick(choices[i], randoms[i], f.width());
+                key.with_field(f, MaskedField::new(value, f.width(), lens[i]))
+            })
+    }
+
+    #[test]
+    fn order_key_orders_every_mask_length_like_flow_key() {
+        let mut keys = Vec::new();
+        for f in Feature::ALL {
+            let max = u32::MAX >> (32 - f.width());
+            for value in [0, 1, max / 3, max / 2, max / 2 + 1, max - 1, max] {
+                for len in 0..=f.width() {
+                    let field = MaskedField::new(value, f.width(), len);
+                    keys.push(FlowKey::root().with_field(f, field));
+                }
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(order_key(a).cmp(&order_key(b)), a.cmp(b), "{a} vs {b}");
+            }
+        }
+    }
+
+    /// Keys with every field at an end of its range or anywhere in it, at
+    /// a random generalization.
+    fn keys() -> impl Strategy<Value = FlowKey> {
+        let choice = || 0u8..4;
+        (
+            (choice(), choice(), choice(), choice(), choice()),
+            (
+                any::<u32>(),
+                any::<u32>(),
+                any::<u32>(),
+                any::<u32>(),
+                any::<u32>(),
+            ),
+            (0u8..=8, 0u8..=32, 0u8..=32, 0u8..=16, 0u8..=16),
+        )
+            .prop_map(|(c, r, l)| {
+                key_at(
+                    [c.0, c.1, c.2, c.3, c.4],
+                    [r.0, r.1, r.2, r.3, r.4],
+                    [l.0, l.1, l.2, l.3, l.4],
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The packed compress key orders random generalizations of random
+        /// and extreme keys exactly as `FlowKey` does. `b` takes `a`'s
+        /// first `shared` fields, so every field gets to decide the order.
+        #[test]
+        fn order_key_orders_like_flow_key(a in keys(), b in keys(), shared in 0usize..=5) {
+            let b = Feature::ALL[..shared]
+                .iter()
+                .fold(b, |b, &f| b.with_field(f, a.field(f)));
+            prop_assert_eq!(order_key(&a).cmp(&order_key(&b)), a.cmp(&b), "{} vs {}", a, b);
+            prop_assert_eq!(order_key(&a) == order_key(&b), a == b);
         }
     }
 

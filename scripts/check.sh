@@ -45,6 +45,13 @@ echo "==> FlowQL plan oracle + deterministic work-counter gate"
 # counts against tests/golden/work_counters.txt.
 cargo test --test cover_oracle --test work_counters -q
 
+echo "==> perfbench determinism: each workload shape replayed twice per seed"
+# perfbench's own test runs scaled-down ingest, query and live shapes
+# twice per seed under Threads(2) and requires identical counts and
+# answers, so an answer that depends on which thread finished first
+# fails here. Its own target directory keeps it off the workspace build.
+CARGO_TARGET_DIR=target/perfbench cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> E2 + E3 + E11 + E13 + E14 + E17 + E18 + E19 smoke: operator, export-path, overhead-matrix, durability, query-plan fan-out, arena and trigger-window benches run end-to-end"
 # `-- --test` runs each Criterion routine once, untimed, after the
 # experiment table; this proves the operator and arena/oracle benches

@@ -35,7 +35,7 @@ fn traced_deployment() -> (Flowstream, Telemetry) {
     for rec in FlowTraceGenerator::new(FlowTraceConfig {
         seed: 11,
         flows_per_sec: 100.0,
-        duration: TimeDelta::from_mins(2),
+        duration: TimeDelta::from_secs(150),
         ..Default::default()
     }) {
         fs.ingest_round_robin(&rec);
@@ -102,10 +102,11 @@ fn unrestricted_plan_locations(db: &FlowDb) -> Vec<&str> {
 fn query_trace_has_one_fanout_span_per_contacted_location_plus_merge() {
     let (fs, tel) = traced_deployment();
     // No location restriction: the query contacts the locations of its
-    // plan. The NOC epoch rotated at 120 s aggregates all eight region
-    // summaries, so the plan reads it alone.
+    // plan. The NOC epoch rotated at 120 s aggregates the eight region
+    // summaries before it, so the plan reads it in their place, plus the
+    // two region summaries of [120, 150) that no NOC epoch covers yet.
     let expected = unrestricted_plan_locations(fs.flowdb());
-    assert_eq!(expected, vec!["noc"]);
+    assert_eq!(expected, vec!["noc", "region-0", "region-1"]);
     fs.query("SELECT QUERY FROM ALL WHERE src_ip = 10.0.0.0/8")
         .expect("traced query");
     let snap = tel.trace_snapshot();
@@ -136,18 +137,39 @@ fn query_trace_has_one_fanout_span_per_contacted_location_plus_merge() {
         "fanout must cover every planned location"
     );
 
-    // Exactly one merge span, also under the root, consuming what the
-    // fan-outs produced.
+    // The merge is one fold step per fan-out, also under the root, in
+    // location order (spans list in creation order), each consuming what
+    // its location's fan-out produced and, the last one, run once no
+    // group was running any more.
     let merges: Vec<_> = spans.iter().filter(|s| s.name == "flowdb.merge").collect();
-    assert_eq!(merges.len(), 1);
-    assert_eq!(merges[0].parent, Some(root.id));
+    let merge_locations: Vec<&str> = merges
+        .iter()
+        .map(|m| {
+            assert_eq!(m.parent, Some(root.id));
+            let location = m.attr("location").expect("merge location attr");
+            let fanout = spans
+                .iter()
+                .find(|s| s.name == "flowdb.fanout" && s.attr("location") == Some(location))
+                .expect("fold step of a fanned-out location");
+            assert_eq!(m.records, fanout.records, "{location} folds its fan-out");
+            let running: usize = m.attr("running").expect("running attr").parse().unwrap();
+            assert!(running < expected.len(), "{location}: running={running}");
+            location
+        })
+        .collect();
+    assert_eq!(
+        merge_locations, expected,
+        "fold steps run in location order"
+    );
+    assert_eq!(merges.last().and_then(|m| m.attr("running")), Some("0"));
     let fanned: u64 = spans
         .iter()
         .filter(|s| s.name == "flowdb.fanout")
         .map(|s| s.records)
         .sum();
     assert_eq!(
-        merges[0].records, fanned,
+        merges.iter().map(|m| m.records).sum::<u64>(),
+        fanned,
         "merge consumes all fanned-out summaries"
     );
     assert!(spans.iter().any(|s| s.name == "flowdb.parse"));
@@ -183,6 +205,25 @@ fn explain_analyze_works_without_an_attached_tracer() {
         );
     }
     assert!(explanation.tree.contains("location=region-0"));
+    // The one planned location's fold step consumes what its fan-out
+    // produced, once no group is running.
+    let tree = explanation.tree.as_str();
+    let line = |stage: &str| {
+        tree.lines()
+            .find(|l| l.contains(stage))
+            .unwrap_or_else(|| panic!("no {stage} in:\n{tree}"))
+    };
+    fn records(line: &str) -> Option<&str> {
+        line.split("  [").nth(1)?.split(" rec").next()
+    }
+    let merge = line("flowdb.merge");
+    assert!(merge.contains("location=region-0  running=0"), "{merge}");
+    assert_eq!(
+        records(merge),
+        records(line("flowdb.fanout")),
+        "merge consumes all fanned-out summaries"
+    );
+    assert!(records(merge).is_some_and(|n| n != "0"), "{merge}");
     // The throwaway tracer left nothing behind on the deployment.
     assert!(fs.telemetry().trace_snapshot().is_empty());
 }
