@@ -4,6 +4,8 @@ use megastream_flow::addr::Prefix;
 use megastream_flow::key::{Feature, FlowKey, MaskedField};
 use megastream_flow::time::TimeWindow;
 
+use crate::exec::QueryError;
+
 /// The operator chosen in the `SELECT` clause — one Flowtree operator per
 /// query (Table II).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,36 +118,40 @@ impl Query {
     /// Builds the generalized flow key the feature restrictions describe
     /// (the WHERE clause "chooses the feature set").
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a numeric restriction targets an IP feature or vice versa
-    /// (the parser never produces such a query).
-    pub fn where_key(&self) -> FlowKey {
+    /// [`QueryError::InvalidRestriction`] if a prefix restriction names a
+    /// numeric feature, a numeric one names an IP feature, or a numeric
+    /// value does not fit its feature's width. The parser never produces
+    /// such a query; a hand-built one can.
+    pub fn where_key(&self) -> Result<FlowKey, QueryError> {
         let mut key = FlowKey::root();
         for r in &self.restrictions {
             match r {
                 Restriction::Location(_) => {}
                 Restriction::IpFeature { feature, prefix } => {
-                    assert!(
-                        matches!(feature, Feature::SrcIp | Feature::DstIp),
-                        "IP restriction on non-IP feature"
-                    );
+                    if !is_ip(*feature) {
+                        return Err(QueryError::InvalidRestriction(*feature));
+                    }
                     key = key.with_field(
                         *feature,
                         MaskedField::new(prefix.addr().bits(), 32, prefix.len()),
                     );
                 }
                 Restriction::NumericFeature { feature, value } => {
-                    assert!(
-                        !matches!(feature, Feature::SrcIp | Feature::DstIp),
-                        "numeric restriction on IP feature"
-                    );
+                    if is_ip(*feature) || u64::from(*value) >> feature.width() != 0 {
+                        return Err(QueryError::InvalidRestriction(*feature));
+                    }
                     key = key.with_field(*feature, MaskedField::exact(*value, feature.width()));
                 }
             }
         }
-        key
+        Ok(key)
     }
+}
+
+fn is_ip(feature: Feature) -> bool {
+    matches!(feature, Feature::SrcIp | Feature::DstIp)
 }
 
 #[cfg(test)]
@@ -181,7 +187,7 @@ mod tests {
             ],
             group_by_location: false,
         };
-        let key = q.where_key();
+        let key = q.where_key().unwrap();
         assert_eq!(key.src_prefix().to_string(), "10.0.0.0/8");
         assert_eq!(key.field(Feature::DstPort).value(), 53);
         assert!(key.field(Feature::Proto).is_wildcard());
@@ -196,7 +202,7 @@ mod tests {
             restrictions: vec![],
             group_by_location: false,
         };
-        assert!(q.where_key().is_root());
+        assert!(q.where_key().unwrap().is_root());
         assert!(q.locations().is_empty());
     }
 

@@ -4,7 +4,8 @@ use megastream_flow::time::TimeWindow;
 use megastream_flowtree::Flowtree;
 use megastream_telemetry::{labeled, Telemetry, LATENCY_MICROS_BOUNDS};
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::ast::Query;
 use crate::exec::{self, QueryError, QueryResult};
@@ -47,18 +48,78 @@ pub struct DbEntry {
 /// into it, and each entry has at most one aggregate. Queries are planned
 /// over that forest so each matching summary is merged exactly once (see
 /// [`exec`](crate::exec)).
-#[derive(Debug, Clone, Default)]
+///
+/// Each location also has a *rollup*: the left fold, in insertion order,
+/// of every entry indexed there — the partial a plan that reads the
+/// location's whole history would merge. Rollups are lazy: inserts never
+/// fold, and the first query that reads a rollup builds it inside its
+/// fan-out, later ones catch it up.
+#[derive(Debug, Default)]
 pub struct FlowDb {
     entries: Vec<DbEntry>,
     /// Whether an aggregate covers entry `i` (derived from `entries`).
     covered: Vec<bool>,
+    /// Each location's entries and rollup, by location name.
+    locations: BTreeMap<String, Location>,
     /// Wire bytes of all entries, kept as they are inserted.
     bytes: usize,
     tel: Telemetry,
     par: Parallelism,
 }
 
+/// The entries indexed under one location, in insertion order, and the
+/// location's rollup.
+#[derive(Debug, Default)]
+struct Location {
+    ids: Vec<EntryId>,
+    /// `None` until a query first reads the rollup. A poisoned lock is
+    /// recovered: a holder folds into a rollup it has taken out of the
+    /// slot, so a panic mid-fold leaves `None` behind, never a
+    /// half-merged tree.
+    rollup: Mutex<Option<Rollup>>,
+}
+
+impl Location {
+    fn slot(&self) -> MutexGuard<'_, Option<Rollup>> {
+        self.rollup.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The left fold of a location's first `folded` entries.
+#[derive(Debug, Clone)]
+struct Rollup {
+    tree: Flowtree,
+    folded: usize,
+}
+
+impl Clone for FlowDb {
+    /// Copies the index; each rollup is shared as an O(1) snapshot.
+    fn clone(&self) -> Self {
+        let locations = self
+            .locations
+            .iter()
+            .map(|(name, loc)| {
+                let copy = Location {
+                    ids: loc.ids.clone(),
+                    rollup: Mutex::new(loc.slot().clone()),
+                };
+                (name.clone(), copy)
+            })
+            .collect();
+        FlowDb {
+            entries: self.entries.clone(),
+            covered: self.covered.clone(),
+            locations,
+            bytes: self.bytes,
+            tel: self.tel.clone(),
+            par: self.par,
+        }
+    }
+}
+
 impl PartialEq for FlowDb {
+    /// Databases are equal when they index the same entries; rollups are
+    /// derived state and do not take part.
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
     }
@@ -146,6 +207,16 @@ impl FlowDb {
     ) -> EntryId {
         let id = EntryId(self.entries.len());
         self.bytes += tree.wire_size();
+        match self.locations.get_mut(&location) {
+            Some(loc) => loc.ids.push(id),
+            None => {
+                let loc = Location {
+                    ids: vec![id],
+                    ..Location::default()
+                };
+                self.locations.insert(location.clone(), loc);
+            }
+        }
         self.entries.push(DbEntry {
             location,
             window,
@@ -168,29 +239,105 @@ impl FlowDb {
         self.entries.is_empty()
     }
 
-    /// Total bytes of all indexed summaries.
+    /// Total bytes FlowDB holds: the wire bytes of every indexed summary
+    /// plus those of every rollup built so far.
     pub fn total_bytes(&self) -> usize {
-        self.bytes
+        let rollups: usize = self
+            .locations
+            .values()
+            .map(|loc| loc.slot().as_ref().map_or(0, |r| r.tree.wire_size()))
+            .sum();
+        self.bytes + rollups
     }
 
     /// Distinct locations with stored summaries, sorted.
     pub fn locations(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self.entries.iter().map(|e| e.location.as_str()).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.locations.keys().map(String::as_str).collect()
     }
 
     /// All windows stored for `location`, sorted by start.
     pub fn windows_of(&self, location: &str) -> Vec<TimeWindow> {
-        let mut out: Vec<TimeWindow> = self
-            .entries
+        let ids = self.locations.get(location).map(|loc| loc.ids.as_slice());
+        let mut out: Vec<TimeWindow> = ids
+            .unwrap_or_default()
             .iter()
-            .filter(|e| e.location == location)
+            .filter_map(|id| self.entries.get(id.0))
             .map(|e| e.window)
             .collect();
         out.sort_by_key(|w| w.start);
         out
+    }
+
+    /// How many entries are indexed under `location`.
+    pub(crate) fn entries_at(&self, location: &str) -> usize {
+        self.locations.get(location).map_or(0, |loc| loc.ids.len())
+    }
+
+    /// How many of `location`'s entries its rollup does not hold yet: all
+    /// of them before a query first reads it.
+    pub(crate) fn rollup_lag(&self, location: &str) -> usize {
+        self.locations.get(location).map_or(0, |loc| {
+            let folded = loc.slot().as_ref().map_or(0, |r| r.folded);
+            loc.ids.len().saturating_sub(folded)
+        })
+    }
+
+    /// `location`'s rollup, caught up with every entry indexed there: the
+    /// tree [`exec`](crate::exec) would get by merging all of them left to
+    /// right from a copy of the first, bit for bit, since each catch-up
+    /// step is that fold's next merge. Returns an O(1) snapshot of it
+    /// and how many entries this call folded in (all of them for the call
+    /// that builds it, 0 when it was caught up).
+    ///
+    /// The catch-up runs under the location's lock, so concurrent queries
+    /// fold each entry once. It copies the rollup on write when a query
+    /// still holds an older snapshot, and it checks compatibility before
+    /// each merge: an entry whose configuration does not match returns
+    /// [`QueryError::IncompatibleSummaries`] — exactly when a merge of the
+    /// whole group would — and the rollup keeps the entries before it.
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::NoMatchingSummaries`] if nothing is indexed under
+    /// `location`; [`QueryError::IncompatibleSummaries`] as above.
+    pub(crate) fn rollup(&self, location: &str) -> Result<(Flowtree, usize), QueryError> {
+        let loc = self
+            .locations
+            .get(location)
+            .ok_or(QueryError::NoMatchingSummaries)?;
+        let mut slot = loc.slot();
+        // Fold into a rollup taken out of the slot: a panic mid-merge
+        // leaves the slot empty, to be rebuilt, not half-merged.
+        let mut rollup = slot.take();
+        let start = rollup.as_ref().map_or(0, |r| r.folded);
+        let mut outcome = Ok(());
+        let trees = loc.ids.iter().skip(start);
+        for tree in trees
+            .filter_map(|id| self.entries.get(id.0))
+            .map(|e| &e.tree)
+        {
+            match &mut rollup {
+                None => {
+                    rollup = Some(Rollup {
+                        tree: tree.clone(),
+                        folded: 1,
+                    });
+                }
+                Some(r) if r.tree.config().compatible_with(tree.config()) => {
+                    r.tree.merge(tree);
+                    r.folded += 1;
+                }
+                Some(_) => {
+                    outcome = Err(QueryError::IncompatibleSummaries);
+                    break;
+                }
+            }
+        }
+        *slot = rollup;
+        let Some(r) = slot.as_ref() else {
+            return Err(QueryError::NoMatchingSummaries);
+        };
+        outcome.map(|()| (r.tree.clone(), r.folded - start))
     }
 
     /// Every indexed summary, in insertion order: `entries()[id.index()]`
@@ -517,6 +664,78 @@ mod tests {
             plan(&db, "SELECT QUERY FROM ALL", &[]),
             vec![("region-0".to_owned(), 0)]
         );
+    }
+
+    /// Three differently shaped trees per location.
+    fn shaped(seed: u32) -> Flowtree {
+        let mut t = Flowtree::new(FlowtreeConfig::default().with_capacity(64));
+        for i in 0..40u32 {
+            t.observe(
+                &FlowRecord::builder()
+                    .proto(6)
+                    .src(format!("10.{}.{}.1", seed % 5, i % 13).parse().unwrap(), 80)
+                    .dst(format!("1.1.{}.1", (i * seed) % 9).parse().unwrap(), 443)
+                    .packets(u64::from(1 + (i * 7 + seed) % 11))
+                    .build(),
+            );
+        }
+        t
+    }
+
+    #[test]
+    fn a_rollup_is_the_left_fold_of_its_location_and_catches_up() {
+        let mut db = FlowDb::new();
+        let mut trees = Vec::new();
+        for epoch in 0..3u32 {
+            trees.push(shaped(epoch + 1));
+            db.insert("a", w(u64::from(epoch) * 60), shaped(epoch + 1));
+            db.insert("b", w(u64::from(epoch) * 60), shaped(epoch + 7));
+        }
+        let bytes = db.total_bytes();
+        assert_eq!(db.rollup_lag("a"), 3);
+        let (cold, folds) = db.rollup("a").unwrap();
+        assert_eq!((folds, db.rollup_lag("a")), (3, 0));
+        let refs: Vec<&Flowtree> = trees.iter().collect();
+        assert_eq!(cold.flat_nodes(), merged(&refs).flat_nodes());
+        assert_eq!(db.total_bytes(), bytes + cold.wire_size());
+        // Warm: nothing to fold, the same tree.
+        let (warm, folds) = db.rollup("a").unwrap();
+        assert_eq!((folds, warm.flat_nodes()), (0, cold.flat_nodes()));
+        // A new entry is folded into the rollup, copying it on write: the
+        // snapshot a query holds does not change.
+        trees.push(shaped(4));
+        db.insert("a", w(180), shaped(4));
+        assert_eq!(db.rollup_lag("a"), 1);
+        let (caught_up, folds) = db.rollup("a").unwrap();
+        assert_eq!(folds, 1);
+        let refs: Vec<&Flowtree> = trees.iter().collect();
+        assert_eq!(caught_up.flat_nodes(), merged(&refs).flat_nodes());
+        assert_eq!(warm.flat_nodes(), cold.flat_nodes());
+        assert!(!caught_up.shares_storage_with(&warm));
+        // Clones share the rollups; equality ignores them.
+        let copy = db.clone();
+        assert_eq!(copy.total_bytes(), db.total_bytes());
+        assert_eq!(copy.rollup_lag("a"), 0);
+        assert_eq!(copy.rollup_lag("b"), 3);
+        assert_eq!(copy, db);
+        assert_eq!(db.rollup("mars"), Err(QueryError::NoMatchingSummaries));
+    }
+
+    #[test]
+    fn an_incompatible_entry_stops_the_rollup_cold_and_warm() {
+        use megastream_flow::score::ScoreKind;
+        let mut db = FlowDb::new();
+        db.insert("a", w(0), shaped(1));
+        db.insert("a", w(60), shaped(2));
+        let bytes = Flowtree::new(FlowtreeConfig::default().with_score_kind(ScoreKind::Bytes));
+        db.insert("a", w(120), bytes);
+        db.insert("a", w(180), shaped(3));
+        let cold = db.rollup("a");
+        assert_eq!(cold, Err(QueryError::IncompatibleSummaries));
+        // The rollup keeps the two entries before the incompatible one.
+        assert_eq!(db.rollup_lag("a"), 2);
+        assert_eq!(db.rollup("a"), Err(QueryError::IncompatibleSummaries));
+        assert_eq!(db.rollup_lag("a"), 2);
     }
 
     #[test]

@@ -24,17 +24,23 @@
 //! folded in location order no matter which thread produced them or when,
 //! every [`Parallelism`](crate::par) setting yields the same result
 //! (`tests/parallel_e2e.rs` pins this).
+//!
+//! A group that holds every entry indexed at its location, and at least
+//! two, reads the location's *rollup* ([`FlowDb`](crate::FlowDb) keeps
+//! it) instead of merging them: the rollup is that group's left fold,
+//! caught up inside the group's fan-out item, so the answer is the same
+//! bit for bit and the plan reads one summary in place of the group.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use megastream_flow::key::FlowKey;
+use megastream_flow::key::{Feature, FlowKey};
 use megastream_flow::score::Popularity;
 use megastream_flowtree::Flowtree;
 use megastream_telemetry::{clock, Scope, Telemetry, LATENCY_MICROS_BOUNDS};
 
 use crate::ast::{Query, SelectOp};
-use crate::db::FlowDb;
+use crate::db::{DbEntry, FlowDb};
 use crate::par::{fan_out, fold_in_order};
 
 /// A query-execution error.
@@ -44,6 +50,11 @@ pub enum QueryError {
     NoMatchingSummaries,
     /// Matching summaries have incompatible Flowtree configurations.
     IncompatibleSummaries,
+    /// A `WHERE` restriction gives a feature the wrong kind of value: a
+    /// prefix for a numeric feature, a number for an IP feature, or a
+    /// number wider than the feature. The parser never builds such a
+    /// query; a hand-built [`Query`] can.
+    InvalidRestriction(Feature),
 }
 
 impl fmt::Display for QueryError {
@@ -54,6 +65,9 @@ impl fmt::Display for QueryError {
             }
             QueryError::IncompatibleSummaries => {
                 write!(f, "matching summaries have incompatible configurations")
+            }
+            QueryError::InvalidRestriction(feature) => {
+                write!(f, "invalid restriction on {feature}")
             }
         }
     }
@@ -131,9 +145,11 @@ impl fmt::Display for Completeness {
 pub struct QueryCost {
     /// Locations whose summaries were consulted (fan-out width).
     pub locations: usize,
-    /// Stored summaries merged to answer the query.
+    /// Summaries the plan reads to answer the query: stored summaries,
+    /// with a location's rollup counting as one.
     pub summaries: usize,
-    /// Total materialized Flowtree nodes in the consulted summaries.
+    /// Total materialized Flowtree nodes in the consulted summaries (a
+    /// rollup's once caught up).
     pub nodes_visited: usize,
     /// Total wire bytes of the consulted summaries (the merge input).
     pub bytes_merged: u64,
@@ -148,6 +164,13 @@ pub struct QueryCost {
 }
 
 impl QueryCost {
+    /// Adds the work fields of `other` (summaries, nodes, bytes).
+    fn add_work(&mut self, other: &QueryCost) {
+        self.summaries += other.summaries;
+        self.nodes_visited += other.nodes_visited;
+        self.bytes_merged += other.bytes_merged;
+    }
+
     /// Deterministic work units for ranking queries by expense: bytes
     /// merged dominate (the merge step is the paper's costly primitive),
     /// with node and row counts as tie-breakers. Stable across runs and
@@ -286,34 +309,53 @@ fn run_op(merged: &Flowtree, op: &SelectOp, where_key: &FlowKey) -> Vec<ResultRo
     }
 }
 
-/// Merges the trees of a group of entries.
-fn merge_group(trees: &[&Flowtree]) -> Result<Flowtree, QueryError> {
-    let (first, rest) = trees.split_first().ok_or(QueryError::NoMatchingSummaries)?;
-    let mut merged = (*first).clone();
-    for tree in rest {
-        if !merged.config().compatible_with(tree.config()) {
+/// Merges the trees of a group of entries, left to right from a copy of
+/// the first.
+fn merge_group(entries: &[&DbEntry]) -> Result<Flowtree, QueryError> {
+    let (first, rest) = entries
+        .split_first()
+        .ok_or(QueryError::NoMatchingSummaries)?;
+    let mut merged = first.tree.clone();
+    for entry in rest {
+        if !merged.config().compatible_with(entry.tree.config()) {
             return Err(QueryError::IncompatibleSummaries);
         }
-        merged.merge(tree);
+        merged.merge(&entry.tree);
     }
     Ok(merged)
 }
 
-/// One location's share of a fan-out: the planned trees, in insertion
-/// order, plus their wire bytes and materialized node counts (which feed
-/// both `fanout` span annotations and the result's [`QueryCost`]).
+/// One location's share of a fan-out: the planned entries, in insertion
+/// order.
 struct LocationGroup<'a> {
     location: &'a str,
-    trees: Vec<&'a Flowtree>,
-    bytes: u64,
-    nodes: usize,
+    entries: Vec<&'a DbEntry>,
+    /// The group holds every entry indexed at its location, and at least
+    /// two: the fan-out reads the location's rollup instead of merging
+    /// them.
+    rollup: bool,
+}
+
+impl LocationGroup<'_> {
+    /// How many summaries the group reads: its entries, or one rollup.
+    fn summaries(&self) -> usize {
+        if self.rollup {
+            1
+        } else {
+            self.entries.len()
+        }
+    }
 }
 
 /// The plan stage: the query's cover ([`FlowDb::cover`]) grouped by
-/// location, in location order (`BTreeMap` iteration), each group's trees
-/// in insertion order. When `scope` records, each planned summary is
-/// annotated with its location, window and mass, and an aggregate with
-/// how many entries it stands for.
+/// location, in location order (`BTreeMap` iteration), each group's
+/// entries in insertion order, and each group marked when it reads its
+/// location's rollup. When `scope` records, each group's summaries are
+/// annotated in that order: a rollup with its location, how many entries
+/// it stands for, how many of them this query folds in (read here, before
+/// the fan-out catches it up) and its mass; any other planned summary
+/// with its location, window and mass, and an aggregate with how many
+/// entries it stands for.
 fn plan_groups<'a>(
     db: &'a FlowDb,
     query: &Query,
@@ -322,43 +364,91 @@ fn plan_groups<'a>(
 ) -> Vec<LocationGroup<'a>> {
     let mut by_location: BTreeMap<&str, LocationGroup<'a>> = BTreeMap::new();
     for entry in db.cover(query, unavailable) {
-        if scope.is_recording() {
-            let mass = entry.tree.total().value();
-            let covers = entry
-                .covers
-                .as_ref()
-                .map_or_else(String::new, |ids| format!(" covers={}", ids.len()));
-            scope.annotate(
-                "summary",
-                format_args!("{} {} mass={mass}{covers}", entry.location, entry.window),
-            );
-        }
         let group = by_location
             .entry(entry.location.as_str())
             .or_insert_with(|| LocationGroup {
                 location: entry.location.as_str(),
-                trees: Vec::new(),
-                bytes: 0,
-                nodes: 0,
+                entries: Vec::new(),
+                rollup: false,
             });
-        group.bytes += entry.tree.wire_size() as u64;
-        group.nodes += entry.tree.node_count();
-        group.trees.push(&entry.tree);
+        group.entries.push(entry);
     }
-    by_location.into_values().collect()
+    let mut groups: Vec<LocationGroup<'a>> = by_location.into_values().collect();
+    for group in &mut groups {
+        let planned = group.entries.len();
+        group.rollup = planned >= 2 && planned == db.entries_at(group.location);
+        if scope.is_recording() {
+            annotate_group(db, group, scope);
+        }
+    }
+    groups
 }
 
-/// The deterministic work half of a [`QueryCost`], read off the planned
-/// groups before the fan-out consumes them (timing and row count are
-/// filled in afterwards).
-fn cost_of_groups(groups: &[LocationGroup<'_>]) -> QueryCost {
-    QueryCost {
-        locations: groups.len(),
-        summaries: groups.iter().map(|g| g.trees.len()).sum(),
-        nodes_visited: groups.iter().map(|g| g.nodes).sum(),
-        bytes_merged: groups.iter().map(|g| g.bytes).sum(),
-        ..QueryCost::default()
+/// The `flowdb.plan` annotations of one group (see [`plan_groups`]).
+fn annotate_group(db: &FlowDb, group: &LocationGroup<'_>, scope: &mut Scope) {
+    if group.rollup {
+        let entries = group.entries.iter();
+        let mass = entries.fold(Popularity::ZERO, |mass, e| mass + e.tree.total());
+        scope.annotate(
+            "rollup",
+            format_args!(
+                "{} entries={} folds={} mass={}",
+                group.location,
+                group.entries.len(),
+                db.rollup_lag(group.location),
+                mass.value()
+            ),
+        );
+        return;
     }
+    for entry in &group.entries {
+        let covers = entry
+            .covers
+            .as_ref()
+            .map_or_else(String::new, |ids| format!(" covers={}", ids.len()));
+        scope.annotate(
+            "summary",
+            format_args!(
+                "{} {} mass={}{covers}",
+                entry.location,
+                entry.window,
+                entry.tree.total().value()
+            ),
+        );
+    }
+}
+
+/// One group's partial, with the work it stands for: the location's
+/// rollup ([`FlowDb::rollup`]), one summary with the caught-up rollup's
+/// node count and wire bytes whether this query built it or found it
+/// warm; otherwise the left fold of the group's entries, with theirs.
+/// Rollup catch-ups count into `flowdb.rollup.folds_total`.
+fn partial(
+    db: &FlowDb,
+    group: &LocationGroup<'_>,
+    tel: &Telemetry,
+) -> Result<(Flowtree, QueryCost), QueryError> {
+    if !group.rollup {
+        let trees = || group.entries.iter().map(|e| &e.tree);
+        let work = QueryCost {
+            summaries: group.entries.len(),
+            nodes_visited: trees().map(Flowtree::node_count).sum(),
+            bytes_merged: trees().map(|t| t.wire_size() as u64).sum(),
+            ..QueryCost::default()
+        };
+        return Ok((merge_group(&group.entries)?, work));
+    }
+    let (rollup, folds) = db.rollup(group.location)?;
+    if folds > 0 {
+        tel.counter("flowdb.rollup.folds_total").add(folds as u64);
+    }
+    let work = QueryCost {
+        summaries: 1,
+        nodes_visited: rollup.node_count(),
+        bytes_merged: rollup.wire_size() as u64,
+        ..QueryCost::default()
+    };
+    Ok((rollup, work))
 }
 
 /// The fan-out + merge + operator stage: every group in `groups` is
@@ -366,7 +456,7 @@ fn cost_of_groups(groups: &[LocationGroup<'_>]) -> QueryCost {
 /// [`Parallelism::worker_count`](crate::Parallelism) threads, the
 /// caller's included — and the partial results are combined **in location
 /// order**, so the outcome is independent of the thread count. Returns the
-/// result rows and the number of summaries used.
+/// result rows and the work the groups' partials stand for.
 ///
 /// Each location's scan is a `flowdb.fanout` scope; the scheduler hands
 /// the caller's open scope to the worker threads, so the scopes nest under
@@ -384,8 +474,7 @@ fn run_groups(
     tel: &Telemetry,
     groups: Vec<LocationGroup<'_>>,
     where_key: &FlowKey,
-) -> Result<(Vec<ResultRow>, usize), QueryError> {
-    let used: usize = groups.iter().map(|g| g.trees.len()).sum();
+) -> Result<(Vec<ResultRow>, QueryCost), QueryError> {
     let workers = db.parallelism().worker_count(groups.len());
     if tel.is_enabled() {
         tel.gauge("flowdb.fanout.workers").set(workers as i64);
@@ -408,45 +497,48 @@ fn run_groups(
             |group| {
                 let mut scope = tel.scope("flowdb.fanout");
                 scope.annotate("location", group.location);
-                scope.add_records(group.trees.len() as u64);
+                scope.add_records(group.summaries() as u64);
                 let merge = tel.scope("flowdb.merge");
-                let merged = merge_group(&group.trees);
+                let partial = partial(db, &group, tel);
                 merge.finish();
-                let rows = merged.map(|merged| operate(&merged));
-                rows.map(|rows| (group.location.to_owned(), rows))
+                let (merged, work) = partial?;
+                Ok((group.location, operate(&merged), work))
             },
             report,
         );
-        let mut rows = Vec::new();
+        let (mut rows, mut work) = (Vec::new(), QueryCost::default());
         for result in per_location {
-            let (location, group_rows) = result?;
+            let (location, group_rows, group_work) = result?;
+            work.add_work(&group_work);
             for mut row in group_rows {
-                row.location = Some(location.clone());
+                row.location = Some(location.to_owned());
                 rows.push(row);
             }
         }
-        return Ok((rows, used));
+        return Ok((rows, work));
     }
     // Each location merges its own trees into a partial; the caller folds
     // the partials in location order as they complete.
-    let merged = fold_in_order(
+    let (merged, work) = fold_in_order(
         groups,
         workers,
         |group| {
             let mut scope = tel.scope("flowdb.fanout");
             scope.annotate("location", group.location);
-            scope.add_records(group.trees.len() as u64);
-            scope.add_bytes(group.bytes);
-            let partial = merge_group(&group.trees)?;
-            Ok((group.location, group.trees.len(), partial))
+            scope.add_records(group.summaries() as u64);
+            let (partial, work) = partial(db, &group, tel)?;
+            scope.add_bytes(work.bytes_merged);
+            Ok((group.location, partial, work))
         },
-        None,
-        |merged: &mut Option<Flowtree>, partial, running| {
-            let (location, summaries, partial) = partial?;
+        (None, QueryCost::default()),
+        |acc: &mut (Option<Flowtree>, QueryCost), partial, running| {
+            let (location, partial, work) = partial?;
             let mut step = tel.scope("flowdb.merge");
             step.annotate("location", location);
             step.annotate("running", running);
-            step.add_records(summaries as u64);
+            step.add_records(work.summaries as u64);
+            let (merged, total) = acc;
+            total.add_work(&work);
             match merged {
                 None => *merged = Some(partial),
                 Some(merged) if merged.config().compatible_with(partial.config()) => {
@@ -459,34 +551,34 @@ fn run_groups(
         report,
     )?;
     let merged = merged.ok_or(QueryError::NoMatchingSummaries)?;
-    Ok((operate(&merged), used))
+    Ok((operate(&merged), work))
 }
 
 /// Executes `query` against `db`, recording into `tel`; summaries of
 /// `unavailable` locations are left out. See [`FlowDb::execute_with`].
 ///
 /// The stages are scopes: `flowdb.plan` (the cover and its grouping,
-/// annotated with every planned summary and any `skipped` unreachable
-/// locations), then [`run_groups`]' fan-out, merge and operator. The
-/// result's [`QueryCost`] times plan, run and total whether or not `tel`
-/// is live; the run time also lands in `flowdb.run.micros`. The result's
-/// [`Completeness`] counts the planned locations consulted — all of them
-/// when none is unavailable — and `skipped` names the others. If every
-/// planned location is unavailable the result is empty (`0/n`), not an
-/// error.
+/// annotated with every planned summary and rollup and any `skipped`
+/// unreachable locations), then [`run_groups`]' fan-out, merge and
+/// operator. The result's [`QueryCost`] times plan, run and total whether
+/// or not `tel` is live; the run time also lands in `flowdb.run.micros`.
+/// The result's [`Completeness`] counts the planned locations consulted —
+/// all of them when none is unavailable — and `skipped` names the others.
+/// If every planned location is unavailable the result is empty (`0/n`),
+/// not an error.
 pub(crate) fn execute(
     db: &FlowDb,
     query: &Query,
     unavailable: &BTreeSet<String>,
     tel: &Telemetry,
 ) -> Result<QueryResult, QueryError> {
-    let where_key = query.where_key();
+    let where_key = query.where_key()?;
     let clock_total = clock::start();
     let mut plan = tel.scope("flowdb.plan");
     let (groups, skipped): (Vec<_>, Vec<_>) = plan_groups(db, query, unavailable, &mut plan)
         .into_iter()
         .partition(|group| !unavailable.contains(group.location));
-    plan.add_records(groups.iter().map(|g| g.trees.len() as u64).sum());
+    plan.add_records(groups.iter().map(|g| g.summaries() as u64).sum());
     let skipped: Vec<String> = skipped.iter().map(|g| g.location.to_owned()).collect();
     if !skipped.is_empty() {
         plan.annotate("skipped", skipped.join(","));
@@ -503,28 +595,32 @@ pub(crate) fn execute(
     };
     // Cost counts only the work actually done: skipped locations
     // contribute nothing to the fan-out, merge, or node walks.
-    let mut cost = cost_of_groups(&groups);
-    cost.plan_micros = plan_micros;
+    let mut cost = QueryCost {
+        locations: groups.len(),
+        plan_micros,
+        ..QueryCost::default()
+    };
     let op = if query.group_by_location {
         format!("{} GROUP BY location", query.op)
     } else {
         query.op.to_string()
     };
-    let (rows, used) = if groups.is_empty() {
-        (Vec::new(), 0)
+    let rows = if groups.is_empty() {
+        Vec::new()
     } else {
         let clock_run = clock::start();
-        let done = run_groups(db, query, tel, groups, &where_key)?;
+        let (rows, work) = run_groups(db, query, tel, groups, &where_key)?;
+        cost.add_work(&work);
         cost.run_micros = clock_run.elapsed_micros();
         tel.histogram("flowdb.run.micros", LATENCY_MICROS_BOUNDS)
             .record(cost.run_micros);
-        done
+        rows
     };
     cost.rows_returned = rows.len();
     cost.total_micros = clock_total.elapsed_micros();
     Ok(QueryResult {
         op,
-        summaries_used: used,
+        summaries_used: cost.summaries,
         rows,
         completeness,
         skipped,
@@ -583,7 +679,8 @@ mod tests {
         // All traffic: 2 sites × (5×10 + 5×20) + 1000 elephant = 1300.
         let q = parse("SELECT QUERY FROM ALL").unwrap();
         let r = db.execute(&q).unwrap();
-        assert_eq!(r.summaries_used, 4);
+        // Each site's whole history: one rollup per site.
+        assert_eq!(r.summaries_used, 2);
         assert_eq!(r.rows[0].score, 1300);
     }
 
@@ -594,7 +691,7 @@ mod tests {
             parse("SELECT QUERY FROM ALL WHERE location = \"region-0\" AND src_ip = 10.0.0.0/16")
                 .unwrap();
         let r = db.execute(&q).unwrap();
-        assert_eq!(r.summaries_used, 2);
+        assert_eq!(r.summaries_used, 1);
         assert_eq!(r.rows[0].score, 150);
     }
 
@@ -603,8 +700,9 @@ mod tests {
         let db = db();
         let q = parse("SELECT QUERY FROM [0, 60)").unwrap();
         let r = db.execute(&q).unwrap();
-        // Epoch 0 only: 2 sites × 50.
+        // Epoch 0 only: 2 sites × 50, one summary each, no rollup.
         assert_eq!(r.rows[0].score, 100);
+        assert_eq!(r.summaries_used, 2);
     }
 
     #[test]
@@ -647,7 +745,7 @@ mod tests {
         let db = db();
         let q = parse("SELECT QUERY FROM ALL GROUP BY location").unwrap();
         let r = db.execute(&q).unwrap();
-        assert_eq!(r.summaries_used, 4);
+        assert_eq!(r.summaries_used, 2);
         assert_eq!(r.rows.len(), 2);
         let by_loc: std::collections::BTreeMap<&str, u64> = r
             .rows
@@ -706,14 +804,63 @@ mod tests {
     }
 
     #[test]
+    fn a_hand_built_restriction_of_the_wrong_kind_is_an_error() {
+        use crate::ast::{Restriction, TimeSelection};
+        let db = db();
+        let query = |restriction| Query {
+            op: SelectOp::Query,
+            time: TimeSelection::All,
+            restrictions: vec![restriction],
+            group_by_location: false,
+        };
+        let cases = [
+            (
+                Restriction::IpFeature {
+                    feature: Feature::DstPort,
+                    prefix: "10.0.0.0/8".parse().unwrap(),
+                },
+                Feature::DstPort,
+            ),
+            (
+                Restriction::NumericFeature {
+                    feature: Feature::SrcIp,
+                    value: 7,
+                },
+                Feature::SrcIp,
+            ),
+            (
+                Restriction::NumericFeature {
+                    feature: Feature::Proto,
+                    value: 256,
+                },
+                Feature::Proto,
+            ),
+        ];
+        for (restriction, feature) in cases {
+            let q = query(restriction);
+            let want = QueryError::InvalidRestriction(feature);
+            assert_eq!(q.where_key(), Err(want.clone()));
+            assert_eq!(db.execute(&q), Err(want.clone()));
+            let down: BTreeSet<String> = ["region-0".to_owned()].into();
+            assert_eq!(db.execute_partial(&q, &down), Err(want));
+        }
+        // The widest values that fit still run.
+        let fits = query(Restriction::NumericFeature {
+            feature: Feature::DstPort,
+            value: u32::from(u16::MAX),
+        });
+        assert!(db.execute(&fits).is_ok());
+    }
+
+    #[test]
     fn partial_execution_excludes_unavailable_locations() {
         let db = db();
         let q = parse("SELECT QUERY FROM ALL").unwrap();
         let unavailable: BTreeSet<String> = ["region-1".to_owned()].into();
         let r = db.execute_partial(&q, &unavailable).unwrap();
-        // region-0 only: 150 packets, 2 of 4 summaries, 1 of 2 locations.
+        // region-0 only: 150 packets, its rollup, 1 of 2 locations.
         assert_eq!(r.rows[0].score, 150);
-        assert_eq!(r.summaries_used, 2);
+        assert_eq!(r.summaries_used, 1);
         assert_eq!(
             r.completeness,
             Completeness {
@@ -800,7 +947,7 @@ mod tests {
         let q = parse("SELECT QUERY FROM ALL").unwrap();
         let r = db.execute(&q).unwrap();
         assert_eq!(r.cost.locations, 2);
-        assert_eq!(r.cost.summaries, 4);
+        assert_eq!(r.cost.summaries, 2);
         assert_eq!(r.cost.summaries, r.summaries_used);
         assert_eq!(r.cost.rows_returned, r.rows.len());
         assert!(r.cost.nodes_visited > 0);
@@ -813,7 +960,7 @@ mod tests {
         assert_eq!(r.cost, again.cost);
         let text = r.cost.to_string();
         assert!(text.contains("2 location(s)"));
-        assert!(text.contains("4 summaries"));
+        assert!(text.contains("2 summaries"));
     }
 
     #[test]
@@ -824,7 +971,7 @@ mod tests {
         let unavailable: BTreeSet<String> = ["region-1".to_owned()].into();
         let r = db.execute_partial(&q, &unavailable).unwrap();
         assert_eq!(r.cost.locations, 1);
-        assert_eq!(r.cost.summaries, 2);
+        assert_eq!(r.cost.summaries, 1);
         assert!(r.cost.bytes_merged < full.cost.bytes_merged);
         assert!(r.cost.nodes_visited < full.cost.nodes_visited);
         // All locations down: zero work, zero rows.

@@ -348,7 +348,10 @@ mod tests {
         }
         assert_eq!(q.restrictions.len(), 3);
         assert_eq!(q.locations(), vec!["region-0"]);
-        assert_eq!(q.where_key().src_prefix().to_string(), "10.0.0.0/8");
+        assert_eq!(
+            q.where_key().unwrap().src_prefix().to_string(),
+            "10.0.0.0/8"
+        );
     }
 
     #[test]

@@ -40,12 +40,14 @@ impl Flowtree {
         // descendants, so each inserted key finds its true deepest
         // materialized ancestor without any re-sorting. Compatible trees
         // share schema and features, so `other`'s keys are already
-        // normalized and projected for this tree.
-        for node in other.preorder() {
-            if !node.own.is_zero() {
-                self.insert_normalized(node.key, node.own);
-            }
-        }
+        // normalized and projected for this tree. One batch, so the arena
+        // is copied on write at most once per merge.
+        self.insert_normalized(
+            other
+                .preorder()
+                .filter(|node| !node.own.is_zero())
+                .map(|node| (node.key, node.own)),
+        );
         *self.records_mut() += other.records();
         self.maybe_compress();
     }

@@ -447,26 +447,40 @@ impl Flowtree {
             .config
             .schema
             .normalize(&key.project(self.config.features));
-        self.insert_normalized(key, score);
+        self.insert_normalized([(key, score)]);
     }
 
-    /// [`Flowtree::insert_exact`] for a key that is already normalized and
-    /// projected under this tree's schema and features — as every key of
-    /// a [compatible](FlowtreeConfig::compatible_with) tree is.
-    pub(crate) fn insert_normalized(&mut self, key: FlowKey, score: Popularity) {
-        let id = if let Some(id) = self.arena.lookup(&key) {
-            id
-        } else {
-            let anchor = self
-                .config
-                .schema
-                .ancestors(&key)
-                .find_map(|anc| self.arena.lookup(&anc))
-                .unwrap_or(NodeId::ROOT);
-            self.attach_new(key, anchor)
-        };
-        self.arena_mut().slot_mut(id).own += score;
-        self.total += score;
+    /// [`Flowtree::insert_exact`] for each `(key, score)` of `nodes`, in
+    /// order, every key already normalized and projected under this tree's
+    /// schema and features — as every key of a
+    /// [compatible](FlowtreeConfig::compatible_with) tree is. The
+    /// copy-on-write check is made once for the whole batch, and not at
+    /// all when `nodes` is empty.
+    pub(crate) fn insert_normalized(
+        &mut self,
+        nodes: impl IntoIterator<Item = (FlowKey, Popularity)>,
+    ) {
+        let mut nodes = nodes.into_iter().peekable();
+        if nodes.peek().is_none() {
+            return;
+        }
+        let budget = self.node_budget;
+        let arena = Arc::make_mut(&mut self.arena);
+        for (key, score) in nodes {
+            let id = if let Some(id) = arena.lookup(&key) {
+                id
+            } else {
+                let anchor = self
+                    .config
+                    .schema
+                    .ancestors(&key)
+                    .find_map(|anc| arena.lookup(&anc))
+                    .unwrap_or(NodeId::ROOT);
+                attach_new(arena, budget, key, anchor)
+            };
+            arena.slot_mut(id).own += score;
+            self.total += score;
+        }
     }
 
     pub(crate) fn maybe_compress(&mut self) {
@@ -705,43 +719,13 @@ impl Flowtree {
             missing.push(anc);
         }
         // Materialize top-down so each new node hangs off the previous one.
+        let budget = self.node_budget;
+        let arena = self.arena_mut();
         let mut parent = anchor;
         for k in missing.into_iter().rev() {
-            parent = self.attach_new(k, parent);
+            parent = attach_new(arena, budget, k, parent);
         }
         parent
-    }
-
-    /// Creates a node for `key` under `parent`, re-parenting any of
-    /// `parent`'s children that belong below the new node (keeps the
-    /// invariant that each node's parent is its deepest materialized proper
-    /// ancestor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the allocation would exceed the node budget.
-    fn attach_new(&mut self, key: FlowKey, parent: NodeId) -> NodeId {
-        assert!(
-            self.arena.len() < self.node_budget,
-            "flowtree node budget exceeded ({} nodes)",
-            self.node_budget
-        );
-        let arena = self.arena_mut();
-        let id = arena.alloc(key);
-        // Steal children of `parent` that are more specific than `key`.
-        let stolen: Vec<NodeId> = {
-            let shared: &Arena = arena;
-            shared
-                .children(parent)
-                .filter(|&c| key.contains(&shared.slot(c).key))
-                .collect()
-        };
-        for c in stolen {
-            arena.unlink_child(parent, c);
-            arena.link_child(id, c);
-        }
-        arena.link_child(parent, id);
-        id
     }
 
     /// Removes a (leaf or internal) node from its parent and frees the slot.
@@ -850,6 +834,36 @@ impl Flowtree {
             self.total
         );
     }
+}
+
+/// Creates a node for `key` under `parent` in an arena the caller already
+/// holds for writing, re-parenting any of `parent`'s children that belong
+/// below the new node (keeps the invariant that each node's parent is its
+/// deepest materialized proper ancestor).
+///
+/// # Panics
+///
+/// Panics if the allocation would exceed `budget` live nodes.
+fn attach_new(arena: &mut Arena, budget: usize, key: FlowKey, parent: NodeId) -> NodeId {
+    assert!(
+        arena.len() < budget,
+        "flowtree node budget exceeded ({budget} nodes)"
+    );
+    let id = arena.alloc(key);
+    // Steal children of `parent` that are more specific than `key`.
+    let stolen: Vec<NodeId> = {
+        let shared: &Arena = arena;
+        shared
+            .children(parent)
+            .filter(|&c| key.contains(&shared.slot(c).key))
+            .collect()
+    };
+    for c in stolen {
+        arena.unlink_child(parent, c);
+        arena.link_child(id, c);
+    }
+    arena.link_child(parent, id);
+    id
 }
 
 /// The stackless pre-order walk behind [`Flowtree::preorder`]: first
@@ -1095,6 +1109,31 @@ mod tests {
         assert_eq!(t.total().value(), 160);
         snap.check_invariants();
         t.check_invariants();
+
+        // Merge into a snapshot: a donor with nothing to insert leaves the
+        // storage shared; a real donor splits it once, leaving the
+        // snapshot as it was.
+        let mut merged = snap.clone();
+        merged.merge(&small_tree());
+        assert!(merged.shares_storage_with(&snap));
+        let frozen = snap.flat_nodes();
+        let mut donor = small_tree();
+        for i in 0..30u32 {
+            donor.observe(&rec(&format!("10.{}.0.1", i % 7), "2.2.2.2", 5));
+        }
+        merged.merge(&donor);
+        assert!(!merged.shares_storage_with(&snap));
+        let split = merged.storage_token();
+        assert_ne!(split, snap.storage_token());
+        assert_eq!(snap.flat_nodes(), frozen);
+        assert_eq!(snap.total().value(), 60);
+        assert_eq!(merged.total().value(), 60 + 150);
+        // A sole owner merges in place: no second split.
+        merged.merge(&donor);
+        assert_eq!(merged.storage_token(), split);
+        assert_eq!(merged.total().value(), 60 + 300);
+        snap.check_invariants();
+        merged.check_invariants();
     }
 
     #[test]

@@ -18,10 +18,23 @@
 //!
 //! Before the plan was a cover, an unrestricted query also merged every
 //! NOC epoch on top of the region summaries it aggregates.
+//!
+//! The same probes check FlowDB's per-location rollups: a query whose plan
+//! reads a location's whole history must answer from exactly the tree this
+//! test folds itself, left to right over that location's indexed entries,
+//! with the public Flowtree API. Each probe falls between ingests, so the
+//! rollups catch up by the entries indexed since the previous one; in the
+//! outage run those include region summaries that arrive late, out of
+//! time order.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use megastream::flowstream::{Flowstream, FlowstreamConfig};
+use megastream_flow::key::FlowKey;
 use megastream_flow::record::FlowRecord;
 use megastream_flow::time::{TimeDelta, TimeWindow, Timestamp};
+use megastream_flowdb::{DbEntry, QueryResult};
+use megastream_flowtree::Flowtree;
 use megastream_netsim::FaultPlan;
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};
 
@@ -176,6 +189,94 @@ fn check_coverage_totals(fs: &Flowstream, label: &str) {
     assert!(aggregates > 0, "{label}: no NOC entry indexed");
 }
 
+/// The left fold of `entries`, in order, from a copy of the first.
+fn fold<'a>(entries: impl IntoIterator<Item = &'a DbEntry>) -> Option<Flowtree> {
+    let mut entries = entries.into_iter();
+    let mut out = entries.next()?.tree.clone();
+    for entry in entries {
+        out.merge(&entry.tree);
+    }
+    Some(out)
+}
+
+/// The test's own fold of every entry indexed at `location`.
+fn history(fs: &Flowstream, location: &str) -> Flowtree {
+    let entries = fs.flowdb().entries().iter();
+    fold(entries.filter(|e| e.location == location))
+        .unwrap_or_else(|| panic!("nothing indexed at {location}"))
+}
+
+fn top_rows(tree: &Flowtree, k: usize) -> Vec<(FlowKey, u64)> {
+    let rows = tree.top_k_where(k, |_| true).into_iter();
+    rows.map(|(key, score)| (key, score.value())).collect()
+}
+
+fn answer_rows(result: &QueryResult) -> Vec<(FlowKey, u64)> {
+    let rows = result.rows.iter();
+    rows.map(|r| (r.key.expect("keyed row"), r.score)).collect()
+}
+
+fn ask(fs: &Flowstream, flowql: &str) -> QueryResult {
+    let result = fs.query(flowql).unwrap_or_else(|e| panic!("{flowql}: {e}"));
+    assert!(result.completeness.is_complete(), "{flowql}");
+    result
+}
+
+/// Rollup oracle at one probe: `QUERY … GROUP BY location`, every
+/// `location = "region-<g>"` and `TOPK 5 FROM ALL` answer from the test's
+/// own fold of each location's entries. Returns whether `FROM ALL` read
+/// the NOC's whole history (at least two entries: a rollup).
+fn check_rollups(fs: &Flowstream, label: &str) -> bool {
+    let db = fs.flowdb();
+    let grouped = "SELECT QUERY FROM ALL WHERE src_ip = 10.0.0.0/8 GROUP BY location";
+    let ten = megastream_flowdb::parse(grouped)
+        .unwrap()
+        .where_key()
+        .unwrap();
+    let grouped = ask(fs, grouped);
+    let regions: Vec<&str> = db.locations().into_iter().filter(|l| *l != "noc").collect();
+    assert_eq!(grouped.rows.len(), regions.len(), "{label}");
+    for (row, region) in grouped.rows.iter().zip(&regions) {
+        assert_eq!(row.location.as_deref(), Some(*region), "{label}");
+        let want = history(fs, region).query(&ten).value();
+        assert_eq!(row.score, want, "{label}: GROUP BY row of {region}");
+    }
+    for region in &regions {
+        let answer = ask(
+            fs,
+            &format!("SELECT TOPK 5 FROM ALL WHERE location = \"{region}\""),
+        );
+        let want = top_rows(&history(fs, region), 5);
+        assert_eq!(answer_rows(&answer), want, "{label}: TOPK 5 of {region}");
+    }
+    // `FROM ALL` merges one partial per location, in location order: the
+    // fold of that location's planned entries.
+    let query = megastream_flowdb::parse("SELECT TOPK 5 FROM ALL").unwrap();
+    let mut planned: BTreeMap<&str, Vec<&DbEntry>> = BTreeMap::new();
+    for entry in db.cover(&query, &BTreeSet::new()) {
+        planned
+            .entry(entry.location.as_str())
+            .or_default()
+            .push(entry);
+    }
+    let partials = planned
+        .values()
+        .map(|entries| fold(entries.iter().copied()));
+    let mut partials = partials.map(|p| p.expect("a planned location has entries"));
+    let mut want = partials.next().expect("FROM ALL plans a location");
+    for partial in partials {
+        want.merge(&partial);
+    }
+    let answer = ask(fs, "SELECT TOPK 5 FROM ALL");
+    assert_eq!(
+        answer_rows(&answer),
+        top_rows(&want, 5),
+        "{label}: TOPK 5 FROM ALL"
+    );
+    let noc = planned.get("noc").map_or(0, Vec::len);
+    noc >= 2 && noc == db.entries().iter().filter(|e| e.location == "noc").count()
+}
+
 fn run(seed: u64, outage: bool) {
     let label = format!("seed {seed}, outage {outage}");
     let trace = trace(seed);
@@ -190,6 +291,7 @@ fn run(seed: u64, outage: bool) {
         {
             probes.remove(0);
             assert!(fs.unreachable_locations().is_empty());
+            check_rollups(&fs, &label);
             check_laws(&fs, &trace[..i], &label);
         }
         fs.ingest_round_robin(rec);
@@ -203,6 +305,10 @@ fn run(seed: u64, outage: bool) {
         );
     }
     assert_eq!(stats.dropped_summaries, 0);
+    assert!(
+        check_rollups(&fs, &label),
+        "{label}: FROM ALL must read the NOC's rollup"
+    );
     check_laws(&fs, &trace, &label);
     check_coverage_totals(&fs, &label);
     let packets: u64 = trace.iter().map(|r| r.packets).sum();

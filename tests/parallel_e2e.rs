@@ -13,13 +13,23 @@
 //! A separate test storms a traced deployment from 8 threads and checks
 //! every query still yields one *connected* span tree plus a valid Chrome
 //! export — the tracer must not lose or cross-link spans under concurrency.
+//!
+//! FlowDB's per-location rollups are derived state, so they must not show
+//! either: a query's first answer on a fresh deployment (which builds the
+//! rollups it reads) equals its repeat answer (which finds them warm),
+//! `QueryCost` work fields included, and a location holding an
+//! incompatible summary errors the same way on both paths.
 
 use std::collections::HashMap;
 
 use megastream::flowstream::FlowstreamStats;
 use megastream::{DegradationPolicy, Flowstream, FlowstreamConfig, Parallelism};
+use megastream_flow::record::FlowRecord;
+use megastream_flow::score::ScoreKind;
+use megastream_flow::time::TimeWindow;
 use megastream_flow::time::{TimeDelta, Timestamp};
-use megastream_flowdb::QueryResult;
+use megastream_flowdb::{FlowDb, QueryError, QueryResult};
+use megastream_flowtree::{Flowtree, FlowtreeConfig};
 use megastream_netsim::FaultPlan;
 use megastream_telemetry::json::Json;
 use megastream_telemetry::{SamplePolicy, SpanId, SpanRecord, Telemetry};
@@ -233,6 +243,102 @@ fn same_seed_parallel_runs_are_identical() {
         run_faulted(Parallelism::Threads(8)),
         run_faulted(Parallelism::Threads(8))
     );
+}
+
+/// Catch-up merges a deployment's queries made so far.
+fn folds(tel: &Telemetry) -> u64 {
+    tel.snapshot()
+        .counter("flowdb.rollup.folds_total")
+        .unwrap_or(0)
+}
+
+#[test]
+fn cold_and_warm_rollups_answer_identically() {
+    let records: Vec<FlowRecord> = workload().collect();
+    for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+        let mut cold_builds = 0;
+        for q in canonical_queries() {
+            let tel = Telemetry::new();
+            let mut fs = deployment(par).with_telemetry(&tel);
+            for rec in &records {
+                fs.ingest_round_robin(rec);
+            }
+            fs.finish();
+            assert_eq!(folds(&tel), 0, "ingest never folds a rollup");
+            let cold = fs.query(q).expect("canonical query");
+            let built = folds(&tel);
+            let warm = fs.query(q).expect("canonical query");
+            assert_eq!(
+                folds(&tel),
+                built,
+                "{q} under {par}: warm rollups fold nothing"
+            );
+            assert_eq!(warm, cold, "{q} under {par}: warm answer differs from cold");
+            assert_eq!(warm.cost, cold.cost, "{q} under {par}");
+            cold_builds += usize::from(built > 0);
+        }
+        // Both GROUP BY queries, `location = "region-0"` and every
+        // unrestricted `FROM ALL` (its `noc` group) read a rollup.
+        assert_eq!(cold_builds, 8, "queries that built a rollup under {par}");
+    }
+}
+
+fn window(start: u64) -> TimeWindow {
+    TimeWindow::starting_at(Timestamp::from_secs(start), TimeDelta::from_secs(30))
+}
+
+fn summary(records: &[FlowRecord], config: FlowtreeConfig) -> Flowtree {
+    let mut tree = Flowtree::new(config);
+    for rec in records {
+        tree.observe(rec);
+    }
+    tree
+}
+
+#[test]
+fn an_incompatible_summary_errors_on_the_cold_and_the_warm_path() {
+    let records: Vec<FlowRecord> = workload().take(2_000).collect();
+    let packets = || summary(&records[..500], FlowtreeConfig::default());
+    let bytes = summary(
+        &records[500..1_000],
+        FlowtreeConfig::default().with_score_kind(ScoreKind::Bytes),
+    );
+    for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+        let queries = [
+            "SELECT TOPK 3 FROM ALL WHERE location = \"a\"",
+            "SELECT TOPK 3 FROM ALL GROUP BY location",
+            "SELECT TOPK 3 FROM ALL",
+        ];
+        // Cold: the rollup's first build meets the incompatible entry.
+        let mut db = FlowDb::new().with_parallelism(par);
+        db.insert("a", window(0), packets());
+        db.insert("a", window(30), bytes.clone());
+        db.insert("b", window(0), packets());
+        for q in queries {
+            let q = megastream_flowdb::parse(q).unwrap();
+            for _ in 0..2 {
+                assert_eq!(db.execute(&q), Err(QueryError::IncompatibleSummaries));
+            }
+        }
+        // Warm: a built rollup catches up to the incompatible entry.
+        let mut db = FlowDb::new().with_parallelism(par);
+        db.insert("a", window(0), packets());
+        db.insert("a", window(30), packets());
+        db.insert("b", window(0), packets());
+        for q in queries {
+            assert!(db.execute(&megastream_flowdb::parse(q).unwrap()).is_ok());
+        }
+        db.insert("a", window(60), bytes.clone());
+        for q in queries {
+            let q = megastream_flowdb::parse(q).unwrap();
+            for _ in 0..2 {
+                assert_eq!(db.execute(&q), Err(QueryError::IncompatibleSummaries));
+            }
+        }
+        // A window without the incompatible entry still answers.
+        let early = megastream_flowdb::parse("SELECT TOPK 3 FROM [0, 60)").unwrap();
+        assert!(db.execute(&early).is_ok());
+    }
 }
 
 /// Every span of one trace must reach its single root by parent links.

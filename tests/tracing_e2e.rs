@@ -273,6 +273,68 @@ fn explain_lists_the_summaries_whose_masses_make_the_answer() {
     assert_eq!(masses, answer, "listed masses must make up the answer");
 }
 
+#[test]
+fn explain_shows_a_rollup_read_and_its_catch_up() {
+    // 150 s at 30 s epochs: five summaries indexed per region.
+    let mut fs = Flowstream::new(
+        2,
+        2,
+        FlowstreamConfig {
+            epoch_len: TimeDelta::from_secs(30),
+            ..Default::default()
+        },
+    );
+    for rec in FlowTraceGenerator::new(FlowTraceConfig {
+        seed: 19,
+        flows_per_sec: 100.0,
+        duration: TimeDelta::from_secs(150),
+        ..Default::default()
+    }) {
+        fs.ingest_round_robin(&rec);
+    }
+    fs.finish();
+    assert_eq!(fs.flowdb().windows_of("region-0").len(), 5);
+    let line = |tree: &str, stage: &str| -> String {
+        tree.lines()
+            .find(|l| l.contains(stage))
+            .unwrap_or_else(|| panic!("no {stage} in:\n{tree}"))
+            .to_owned()
+    };
+    let region0 = "SELECT QUERY FROM ALL WHERE location = \"region-0\"";
+    // The first query builds region-0's rollup from all five entries, the
+    // second finds it caught up; both read one summary.
+    for folds in [5, 0] {
+        let (result, explanation) = fs.explain(region0);
+        let result = result.expect("explained query succeeds");
+        let tree = explanation.tree.as_str();
+        let plan = line(tree, "flowdb.plan");
+        let answer = result.rows[0].score;
+        let rollup = format!("rollup=region-0 entries=5 folds={folds} mass={answer}  [1 rec");
+        assert!(plan.contains(&rollup), "{plan}");
+        assert!(!plan.contains("summary="), "{plan}");
+        let fanout = line(tree, "flowdb.fanout");
+        let bytes = format!("location=region-0  [1 rec, {} B]", result.cost.bytes_merged);
+        assert!(fanout.contains(&bytes), "{fanout}");
+        assert!(line(tree, "flowdb.merge").contains("running=0  [1 rec"));
+        assert_eq!(result.cost.summaries, 1);
+    }
+    // GROUP BY reads every region's whole history: region-0's rollup is
+    // warm, region-1's is built by this query.
+    let (result, explanation) = fs.explain("SELECT QUERY FROM ALL GROUP BY location");
+    assert_eq!(result.expect("grouped query succeeds").summaries_used, 2);
+    let plan = line(&explanation.tree, "flowdb.plan");
+    let rollups: Vec<&str> = plan.split("  rollup=").skip(1).collect();
+    assert_eq!(rollups.len(), 2, "{plan}");
+    assert!(
+        rollups[0].starts_with("region-0 entries=5 folds=0 "),
+        "{plan}"
+    );
+    assert!(
+        rollups[1].starts_with("region-1 entries=5 folds=5 "),
+        "{plan}"
+    );
+}
+
 fn hierarchy_store(name: &str, epoch_secs: u64) -> DataStore {
     let mut s = DataStore::new(
         name,
