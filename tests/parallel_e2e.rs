@@ -283,6 +283,49 @@ fn cold_and_warm_rollups_answer_identically() {
     }
 }
 
+#[test]
+fn racing_cold_queries_fold_each_entry_once() {
+    let loaded = |tel: &Telemetry| {
+        let mut fs = deployment(Parallelism::Threads(2)).with_telemetry(tel);
+        for rec in workload() {
+            fs.ingest_round_robin(&rec);
+        }
+        fs.finish();
+        fs
+    };
+    let queries = canonical_queries();
+    // One pass in order on a fresh deployment: the reference answers and
+    // the entries its rollups hold.
+    let tel = Telemetry::new();
+    let fs = loaded(&tel);
+    let reference: Vec<QueryResult> = queries
+        .iter()
+        .map(|q| fs.query(q).expect("canonical query"))
+        .collect();
+    let once = folds(&tel);
+    assert!(once > 0);
+    // Four threads start the whole set at once on another fresh
+    // deployment, each at a different query, so several race to build
+    // the same rollups. Every answer matches and no entry folds twice.
+    let tel = Telemetry::new();
+    let fs = loaded(&tel);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (fs, queries, reference, start) = (&fs, &queries, &reference, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..queries.len() {
+                    let i = (i + 3 * t) % queries.len();
+                    let answer = fs.query(queries[i]).expect("canonical query");
+                    assert_eq!(answer, reference[i], "{} on thread {t}", queries[i]);
+                }
+            });
+        }
+    });
+    assert_eq!(folds(&tel), once, "entries folded into rollups");
+}
+
 fn window(start: u64) -> TimeWindow {
     TimeWindow::starting_at(Timestamp::from_secs(start), TimeDelta::from_secs(30))
 }
