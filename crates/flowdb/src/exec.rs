@@ -517,8 +517,9 @@ fn run_groups(
         }
         return Ok((rows, work));
     }
-    // Each location merges its own trees into a partial; the caller folds
-    // the partials in location order as they complete.
+    // Each location merges its own trees into a partial (or reads its
+    // rollup); the caller folds the partials in location order as they
+    // complete.
     let (merged, work) = fold_in_order(
         groups,
         workers,
