@@ -17,12 +17,12 @@
 //!
 //! Modules:
 //!
-//! * [`summary`] — the type-erased [`Summary`](summary::Summary) exchanged
+//! * [`summary`] — the type-erased [`Summary`] exchanged
 //!   between stores, with schema-level lineage tags (§III-C),
 //! * [`aggregator`] — installable aggregator instances,
 //! * [`storage`] — the three storage strategies,
 //! * [`trigger`] — trigger registry and matching,
-//! * [`store`] — the [`DataStore`](store::DataStore) tying it together.
+//! * [`store`] — the [`DataStore`] tying it together.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -5,20 +5,9 @@
 //! > round-robin mechanism, and (3) storage using a round-robin mechanism
 //! > and hierarchical aggregation."
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use megastream_flow::time::{TimeDelta, TimeWindow, Timestamp};
 
 use crate::summary::StoredSummary;
-
-/// Refcount + size of one shared Flowtree arena (keyed by its storage
-/// token). The accounting plane charges an arena's bytes once, no matter
-/// how many deduplicated summaries share it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ArenaRef {
-    refs: usize,
-    bytes: usize,
-}
 
 /// Which storage strategy a [`SummaryStore`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +37,7 @@ pub enum StorageStrategy {
 }
 
 /// A budget-managed collection of [`StoredSummary`] values.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SummaryStore {
     strategy: StorageStrategy,
     location: String,
@@ -57,34 +46,12 @@ pub struct SummaryStore {
     evicted: u64,
     aggregated: u64,
     /// Incrementally maintained sum of the stored summaries'
-    /// [`StoredSummary::deep_bytes`], counting each shared Flowtree arena
-    /// **once**: adjusted by delta at every insert, eviction, and
-    /// hierarchical aggregation instead of re-walking the store. The
-    /// accounting property tests assert it equals the independent
-    /// recompute [`SummaryStore::deep_bytes`] after arbitrary operation
-    /// sequences, with dedup active.
+    /// [`StoredSummary::deep_bytes`]: adjusted by delta at every insert,
+    /// eviction, and hierarchical aggregation instead of re-walking the
+    /// store. The accounting property tests assert it equals the
+    /// independent recompute [`SummaryStore::deep_bytes`] after arbitrary
+    /// operation sequences.
     deep_accounted: usize,
-    /// Per-arena refcounts keyed by storage token (BTreeMap: the
-    /// determinism gate bans hash iteration in result-affecting crates).
-    arena_refs: BTreeMap<u64, ArenaRef>,
-    /// How many inserted flowtree summaries were hash-consed onto an
-    /// already-stored arena.
-    dedup_hits: u64,
-}
-
-impl PartialEq for SummaryStore {
-    /// Storage tokens are process-lifetime identities, so the refcount map
-    /// can never match across independently built stores; equality compares
-    /// the *content* (strategy, summaries, history counters) and leaves the
-    /// derived accounting state to the property tests that check it against
-    /// recompute.
-    fn eq(&self, other: &Self) -> bool {
-        self.strategy == other.strategy
-            && self.location == other.location
-            && self.summaries == other.summaries
-            && self.evicted == other.evicted
-            && self.aggregated == other.aggregated
-    }
 }
 
 impl SummaryStore {
@@ -98,77 +65,19 @@ impl SummaryStore {
             evicted: 0,
             aggregated: 0,
             deep_accounted: 0,
-            arena_refs: BTreeMap::new(),
-            dedup_hits: 0,
         }
     }
 
-    /// Charges an incoming summary to the deep-byte account. A flowtree
-    /// whose arena is already referenced (deduplicated or snapshot-shared)
-    /// is charged its header only — the arena bytes are already on the
-    /// books under its token.
+    /// Charges an incoming summary to the deep-byte account.
     fn account_insert(&mut self, s: &StoredSummary) {
-        let mut charge = s.deep_bytes();
-        if let Some(t) = s.summary.as_flowtree() {
-            let e = self
-                .arena_refs
-                .entry(t.storage_token())
-                .or_insert(ArenaRef { refs: 0, bytes: 0 });
-            e.bytes = t.arena_bytes();
-            if e.refs > 0 {
-                charge -= t.arena_bytes();
-            }
-            e.refs += 1;
-        }
-        self.deep_accounted = self.deep_accounted.saturating_add(charge);
+        self.deep_accounted = self.deep_accounted.saturating_add(s.deep_bytes());
     }
 
     /// Discharges a summary that leaves the store (or is about to be
     /// mutated — callers discharge *before* mutating and re-charge after,
-    /// so the account always reflects the state that was charged). The
-    /// arena's bytes leave the books only with its last reference.
+    /// so the account always reflects the state that was charged).
     fn account_remove(&mut self, s: &StoredSummary) {
-        let mut discharge = s.deep_bytes();
-        if let Some(t) = s.summary.as_flowtree() {
-            let token = t.storage_token();
-            if let Some(e) = self.arena_refs.get_mut(&token) {
-                e.refs -= 1;
-                if e.refs > 0 {
-                    discharge -= t.arena_bytes();
-                } else {
-                    self.arena_refs.remove(&token);
-                }
-            }
-        }
-        self.deep_accounted = self.deep_accounted.saturating_sub(discharge);
-    }
-
-    /// Hash-consing across epochs and locations: if the incoming summary
-    /// is a Flowtree structurally equal to one already stored, adopt the
-    /// stored arena so both summaries share one copy. The value number is
-    /// the cheap pre-filter; `dedup_with` performs the full structural
-    /// comparison before uniting. Newest-first scan: the most likely twin
-    /// is a recent epoch's summary.
-    fn dedup_incoming(&mut self, incoming: &mut StoredSummary) {
-        let Some(tree) = incoming.summary.as_flowtree_mut() else {
-            return;
-        };
-        let vn = tree.value_number();
-        for s in self.summaries.iter().rev() {
-            let Some(cand) = s.summary.as_flowtree() else {
-                continue;
-            };
-            if cand.len() == tree.len()
-                && cand.total() == tree.total()
-                && cand.records() == tree.records()
-                && !cand.shares_storage_with(tree)
-                && cand.value_number() == vn
-                && tree.dedup_with(cand)
-            {
-                self.dedup_hits += 1;
-                return;
-            }
-        }
+        self.deep_accounted = self.deep_accounted.saturating_sub(s.deep_bytes());
     }
 
     /// The strategy in force.
@@ -176,10 +85,8 @@ impl SummaryStore {
         self.strategy
     }
 
-    /// Inserts a summary (deduplicating its arena against stored twins
-    /// first) and enforces the strategy at time `now`.
-    pub fn insert(&mut self, mut summary: StoredSummary, now: Timestamp) {
-        self.dedup_incoming(&mut summary);
+    /// Inserts a summary and enforces the strategy at time `now`.
+    pub fn insert(&mut self, summary: StoredSummary, now: Timestamp) {
         self.account_insert(&summary);
         self.summaries.push(summary);
         self.enforce(now);
@@ -249,10 +156,8 @@ impl SummaryStore {
             if group.len() >= 2 {
                 // Merge group members into the first, back to front so
                 // indices stay valid. Accounting: every member is
-                // discharged *before* the merge mutates it (the clone
-                // shares the stored arena, so its token still matches what
-                // was charged), and the compressed result is re-charged
-                // once finished.
+                // discharged *before* the merge mutates it, and the
+                // compressed result is re-charged once finished.
                 let mut base = self.summaries[group[0]].clone();
                 self.account_remove(&base);
                 for &j in group[1..].iter().rev() {
@@ -280,45 +185,22 @@ impl SummaryStore {
 
     /// Total deterministic deep in-memory bytes of the stored summaries,
     /// recomputed independently from scratch (the accounting-plane
-    /// counterpart of [`SummaryStore::total_bytes`]), counting each shared
-    /// Flowtree arena once. The property tests compare this against
-    /// [`SummaryStore::accounted_deep_bytes`].
+    /// counterpart of [`SummaryStore::total_bytes`]). The property tests
+    /// compare this against [`SummaryStore::accounted_deep_bytes`].
     pub fn deep_bytes(&self) -> usize {
-        let mut seen = BTreeSet::new();
-        let mut sum = 0usize;
-        for s in &self.summaries {
-            sum += s.deep_bytes();
-            if let Some(t) = s.summary.as_flowtree() {
-                if !seen.insert(t.storage_token()) {
-                    sum -= t.arena_bytes();
-                }
-            }
-        }
-        sum
+        self.summaries.iter().map(StoredSummary::deep_bytes).sum()
     }
 
-    /// How many inserted flowtree summaries were deduplicated onto an
-    /// already-stored arena (drives the `flowtree.arena.dedup_hits` gauge).
-    pub fn dedup_hits(&self) -> u64 {
-        self.dedup_hits
-    }
-
-    /// `(live nodes, arena bytes)` across the *distinct* Flowtree arenas in
-    /// the store — shared arenas counted once (drives the
-    /// `flowtree.arena.nodes` / `flowtree.arena.bytes` gauges).
+    /// `(live nodes, arena bytes)` across the stored Flowtree summaries
+    /// (drives the `flowtree.arena.nodes` / `flowtree.arena.bytes`
+    /// gauges).
     pub fn arena_stats(&self) -> (usize, usize) {
-        let mut seen = BTreeSet::new();
-        let mut nodes = 0usize;
-        let mut bytes = 0usize;
-        for s in &self.summaries {
-            if let Some(t) = s.summary.as_flowtree() {
-                if seen.insert(t.storage_token()) {
-                    nodes += t.len();
-                    bytes += t.arena_bytes();
-                }
-            }
-        }
-        (nodes, bytes)
+        self.summaries
+            .iter()
+            .filter_map(|s| s.summary.as_flowtree())
+            .fold((0, 0), |(nodes, bytes), t| {
+                (nodes + t.len(), bytes + t.arena_bytes())
+            })
     }
 
     /// The incrementally maintained deep-byte account (what the

@@ -81,14 +81,9 @@ struct StoreMetrics {
     watermark: Gauge,
     /// Simulated timestamp of the last epoch rotation (rotation lag).
     last_rotation: Gauge,
-    /// Live nodes across the store's *distinct* Flowtree arenas (shared
-    /// arenas counted once).
+    /// Live nodes across the store's stored Flowtree summaries.
     arena_nodes: Gauge,
-    /// Stored flowtree summaries that were hash-consed onto an
-    /// already-stored arena.
-    arena_dedup_hits: Gauge,
-    /// Bytes held by the store's distinct Flowtree arenas (the shareable
-    /// part of the deep-memory account).
+    /// Bytes held by the arenas of the store's stored Flowtree summaries.
     arena_bytes: Gauge,
 }
 
@@ -119,7 +114,6 @@ impl StoreMetrics {
                 store,
             )),
             arena_nodes: tel.gauge(&labeled("flowtree.arena.nodes", "store", store)),
-            arena_dedup_hits: tel.gauge(&labeled("flowtree.arena.dedup_hits", "store", store)),
             arena_bytes: tel.gauge(&labeled("flowtree.arena.bytes", "store", store)),
         }
     }
@@ -557,16 +551,13 @@ impl DataStore {
     }
 
     /// Refreshes the footprint/memory gauges plus the flowtree arena gauges
-    /// (distinct-arena nodes/bytes and cross-summary dedup hits).
+    /// (stored arena nodes and bytes).
     fn update_memory_gauges(&self) {
         self.metrics.footprint.set(self.footprint_bytes() as i64);
         self.metrics.memory.set(self.accounted_bytes() as i64);
         let (nodes, bytes) = self.summaries.arena_stats();
         self.metrics.arena_nodes.set(nodes as i64);
         self.metrics.arena_bytes.set(bytes as i64);
-        self.metrics
-            .arena_dedup_hits
-            .set(self.summaries.dedup_hits() as i64);
     }
 
     /// Distributes `budget` equally across aggregators and lets each adapt

@@ -136,18 +136,8 @@ impl Summary {
         }
     }
 
-    /// The inner Flowtree, if this is a flowtree summary. The store-level
-    /// dedup and shared-arena accounting only apply to flowtrees (the one
-    /// summary kind with sharable storage).
+    /// The inner Flowtree, if this is a flowtree summary.
     pub fn as_flowtree(&self) -> Option<&Flowtree> {
-        match self {
-            Summary::Flowtree(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the inner Flowtree, if this is a flowtree summary.
-    pub fn as_flowtree_mut(&mut self) -> Option<&mut Flowtree> {
         match self {
             Summary::Flowtree(t) => Some(t),
             _ => None,

@@ -47,7 +47,7 @@ pub struct DbEntry {
 /// Entries form a coverage forest: an aggregate covers the entries merged
 /// into it, and each entry has at most one aggregate. Queries are planned
 /// over that forest so each matching summary is merged exactly once (see
-/// [`exec`](crate::exec)).
+/// [`exec`]).
 ///
 /// Each location also has a *rollup*: the left fold, in insertion order,
 /// of every entry indexed there — the partial a plan that reads the
@@ -308,32 +308,20 @@ impl FlowDb {
         let mut slot = loc.slot();
         // Fold into a rollup taken out of the slot: a panic mid-merge
         // leaves the slot empty, to be rebuilt, not half-merged.
-        let mut rollup = slot.take();
-        let start = rollup.as_ref().map_or(0, |r| r.folded);
-        let mut outcome = Ok(());
-        let trees = loc.ids.iter().skip(start);
-        for tree in trees
+        let taken = slot.take();
+        let start = taken.as_ref().map_or(0, |r| r.folded);
+        let (mut tree, mut folded) = (taken.map(|r| r.tree), start);
+        let outcome = loc
+            .ids
+            .iter()
+            .skip(start)
             .filter_map(|id| self.entries.get(id.0))
-            .map(|e| &e.tree)
-        {
-            match &mut rollup {
-                None => {
-                    rollup = Some(Rollup {
-                        tree: tree.clone(),
-                        folded: 1,
-                    });
-                }
-                Some(r) if r.tree.config().compatible_with(tree.config()) => {
-                    r.tree.merge(tree);
-                    r.folded += 1;
-                }
-                Some(_) => {
-                    outcome = Err(QueryError::IncompatibleSummaries);
-                    break;
-                }
-            }
-        }
-        *slot = rollup;
+            .try_for_each(|entry| {
+                exec::fold_tree(&mut tree, &entry.tree)?;
+                folded += 1;
+                Ok(())
+            });
+        *slot = tree.map(|tree| Rollup { tree, folded });
         let Some(r) = slot.as_ref() else {
             return Err(QueryError::NoMatchingSummaries);
         };

@@ -7,7 +7,7 @@
 //! location instead of across all of them.
 //!
 //! The plan is a *cover* of the index's coverage forest
-//! ([`FlowDb`](crate::FlowDb)): each matching summary is merged exactly
+//! ([`FlowDb`]): each matching summary is merged exactly
 //! once, and an aggregate (a NOC epoch) is read in place of the region
 //! summaries it covers when all of them match — paper Fig. 5 ③–④, where
 //! the network store "further aggregates" region summaries and uses them
@@ -26,7 +26,7 @@
 //! (`tests/parallel_e2e.rs` pins this).
 //!
 //! A group that holds every entry indexed at its location, and at least
-//! two, reads the location's *rollup* ([`FlowDb`](crate::FlowDb) keeps
+//! two, reads the location's *rollup* ([`FlowDb`] keeps
 //! it) instead of merging them: the rollup is that group's left fold,
 //! caught up inside the group's fan-out item, so the answer is the same
 //! bit for bit and the plan reads one summary in place of the group.
@@ -309,20 +309,30 @@ fn run_op(merged: &Flowtree, op: &SelectOp, where_key: &FlowKey) -> Vec<ResultRo
     }
 }
 
+/// One step of FlowDB's left fold of trees: `tree` starts the fold as a
+/// copy when `acc` is empty and merges into it otherwise. A tree whose
+/// configuration is not compatible with the fold's
+/// (`FlowtreeConfig::compatible_with`) is
+/// [`QueryError::IncompatibleSummaries`], and `acc` keeps the trees
+/// folded before it. Group merges, rollup catch-ups and the fold of the
+/// location partials all step through here.
+pub(crate) fn fold_tree(acc: &mut Option<Flowtree>, tree: &Flowtree) -> Result<(), QueryError> {
+    match acc {
+        None => *acc = Some(tree.clone()),
+        Some(merged) if merged.config().compatible_with(tree.config()) => merged.merge(tree),
+        Some(_) => return Err(QueryError::IncompatibleSummaries),
+    }
+    Ok(())
+}
+
 /// Merges the trees of a group of entries, left to right from a copy of
 /// the first.
 fn merge_group(entries: &[&DbEntry]) -> Result<Flowtree, QueryError> {
-    let (first, rest) = entries
-        .split_first()
-        .ok_or(QueryError::NoMatchingSummaries)?;
-    let mut merged = first.tree.clone();
-    for entry in rest {
-        if !merged.config().compatible_with(entry.tree.config()) {
-            return Err(QueryError::IncompatibleSummaries);
-        }
-        merged.merge(&entry.tree);
+    let mut merged = None;
+    for entry in entries {
+        fold_tree(&mut merged, &entry.tree)?;
     }
-    Ok(merged)
+    merged.ok_or(QueryError::NoMatchingSummaries)
 }
 
 /// One location's share of a fan-out: the planned entries, in insertion
@@ -540,14 +550,7 @@ fn run_groups(
             step.add_records(work.summaries as u64);
             let (merged, total) = acc;
             total.add_work(&work);
-            match merged {
-                None => *merged = Some(partial),
-                Some(merged) if merged.config().compatible_with(partial.config()) => {
-                    merged.merge(&partial);
-                }
-                Some(_) => return Err(QueryError::IncompatibleSummaries),
-            }
-            Ok(())
+            fold_tree(merged, &partial)
         },
         report,
     )?;

@@ -8,12 +8,6 @@
 //! Freed slots are threaded into an explicit free list and reused before
 //! the arena grows.
 //!
-//! The arena carries an identity `token`, minted from a process-global
-//! counter: cloning the arena (copy-on-write splits) mints a fresh token,
-//! while `Arc`-sharing preserves it. Two Flowtrees report the same token
-//! exactly when they share storage, which is what lets the accounting
-//! plane count a deduplicated arena once.
-//!
 //! `NodeId`'s inner index is private to this module: all slot access goes
 //! through the arena's methods (or [`IdMap`]), so no `as usize` cast of a
 //! node id can appear outside this file — the `arena-ids` megalint pass
@@ -23,7 +17,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Index, IndexMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use megastream_flow::key::{Feature, FlowKey};
 use megastream_flow::score::Popularity;
@@ -66,14 +59,6 @@ impl IndexKey {
             proto: proto.value() as u8,
         }
     }
-}
-
-/// Process-global arena identity source. Relaxed is enough: tokens only
-/// need to be unique, never ordered.
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_token() -> u64 {
-    NEXT_TOKEN.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Index of a node in the arena. Copyable, comparable, never a pointer.
@@ -137,32 +122,15 @@ pub(crate) struct Slot {
 }
 
 /// The contiguous node store plus the key index and free list.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Arena {
     slots: Vec<Slot>,
     free_head: NodeId,
     free_len: usize,
     len: usize,
-    token: u64,
     /// Key → id lookup by packed key. Never iterated (lookup/insert/remove
     /// only), so the nondeterministic bucket order can't leak into results.
     index: HashMap<IndexKey, NodeId>,
-}
-
-impl Clone for Arena {
-    /// A deep copy is a *new* storage identity: it mints a fresh token.
-    /// (`Arc::clone` of a shared arena preserves the token — that is the
-    /// O(1) snapshot path.)
-    fn clone(&self) -> Self {
-        Arena {
-            slots: self.slots.clone(),
-            free_head: self.free_head,
-            free_len: self.free_len,
-            len: self.len,
-            token: fresh_token(),
-            index: self.index.clone(),
-        }
-    }
 }
 
 impl Arena {
@@ -182,7 +150,6 @@ impl Arena {
             free_head: NodeId::NONE,
             free_len: 0,
             len: 1,
-            token: fresh_token(),
             index,
         }
     }
@@ -201,11 +168,6 @@ impl Arena {
     /// Number of slots currently on the free list.
     pub(crate) fn free_len(&self) -> usize {
         self.free_len
-    }
-
-    /// The storage-identity token (see module docs).
-    pub(crate) fn token(&self) -> u64 {
-        self.token
     }
 
     pub(crate) fn slot(&self, id: NodeId) -> &Slot {

@@ -82,8 +82,9 @@ impl OracleTree {
         }
     }
 
-    /// Rebuilds a tree from `(key, own score)` pairs plus the record count,
-    /// shallow-first (mirrors `Flowtree::from_parts`).
+    /// Rebuilds a tree from `(key, own score)` pairs plus the record count.
+    /// Pairs are inserted shallow-first, so each node attaches under its
+    /// deepest ancestor among them and zero-score interior nodes survive.
     pub fn from_parts(
         config: FlowtreeConfig,
         nodes: Vec<(FlowKey, Popularity)>,

@@ -1,16 +1,12 @@
 //! The Flowtree node store: a bounded, arena-backed tree of
-//! generalized-flow nodes with O(1) snapshots and structural dedup.
+//! generalized-flow nodes with O(1) snapshots.
 //!
 //! Storage lives in an [`Arena`](crate::arena::Arena) behind an `Arc`:
 //! cloning a Flowtree copies four words and bumps a refcount; the first
-//! mutation after a snapshot copy-on-writes the arena (minting a fresh
-//! storage token). Structurally identical trees can share one arena via
-//! [`Flowtree::dedup_with`], and the accounting plane uses
-//! [`Flowtree::storage_token`] to count shared storage once.
+//! mutation after a snapshot copy-on-writes the arena.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use megastream_flow::key::{Feature, FlowKey};
@@ -163,33 +159,6 @@ impl Flowtree {
         }
     }
 
-    /// Rebuilds a tree from its `(key, own score)` pairs plus the record
-    /// count. Entries are inserted shallow-first so deep nodes attach under
-    /// their true ancestors and the original topology — including
-    /// zero-score interior nodes — is reproduced exactly; the result
-    /// compares equal to the source tree under [`PartialEq`]. Prefer
-    /// [`Flowtree::try_from_flat`] for untrusted input: this constructor
-    /// trusts its caller and re-derives structure instead of validating it.
-    pub fn from_parts(
-        config: FlowtreeConfig,
-        nodes: Vec<(FlowKey, Popularity)>,
-        records: u64,
-    ) -> Self {
-        let mut tree = Flowtree::new(config);
-        tree.reserve_nodes(nodes.len());
-        let mut entries: Vec<(usize, FlowKey, Popularity)> = nodes
-            .into_iter()
-            .map(|(key, own)| (tree.config.schema.depth(&key), key, own))
-            .collect();
-        entries.sort_by_key(|(depth, _, _)| *depth);
-        for (_, key, own) in entries {
-            tree.insert_exact(&key, own);
-        }
-        tree.records = records;
-        tree.tighten_budget();
-        tree
-    }
-
     /// Validates and rebuilds a tree from its flat serialized form (see
     /// [`FlatNode`]). Never panics: every structural attack — out-of-range
     /// or cyclic parent links, duplicate keys, off-ladder keys, parents
@@ -314,23 +283,15 @@ impl Flowtree {
     }
 
     /// Deterministic deep in-memory footprint in bytes: the tree header
-    /// plus the arena ([`Flowtree::header_bytes`] +
-    /// [`Flowtree::arena_bytes`]). Still a pure function of the
+    /// plus the arena ([`Flowtree::arena_bytes`]). A pure function of the
     /// materialized node count (never of slot-vector capacity or free-list
     /// length), so structurally equal trees always agree. Trees sharing one
-    /// arena each report the full figure; the store-level accounting uses
-    /// the split accessors to count a shared arena once.
+    /// arena each report the full figure.
     pub fn deep_bytes(&self) -> usize {
-        self.header_bytes() + self.arena_bytes()
+        std::mem::size_of::<Self>() + self.arena_bytes()
     }
 
-    /// The non-shared part of [`Flowtree::deep_bytes`]: the per-tree
-    /// header that exists even when the arena is deduplicated away.
-    pub fn header_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
-
-    /// The shareable part of [`Flowtree::deep_bytes`]: arena slot plus
+    /// The arena part of [`Flowtree::deep_bytes`]: arena slot plus
     /// key-index entry per live node, plus the fixed arena header. A pure
     /// function of the node count. The index entry is charged at the full
     /// `FlowKey` width even though the index stores a packed key: the
@@ -367,54 +328,9 @@ impl Flowtree {
         self.arena.free_len()
     }
 
-    /// The arena's storage-identity token: preserved by O(1) snapshots
-    /// ([`Clone`]) and by [`Flowtree::dedup_with`], re-minted whenever a
-    /// copy-on-write split or deep copy creates new storage. Two trees
-    /// report the same token exactly when they share one arena — the
-    /// accounting plane's key for counting shared storage once.
-    pub fn storage_token(&self) -> u64 {
-        self.arena.token()
-    }
-
     /// Whether `self` and `other` share one arena (same `Arc`).
     pub fn shares_storage_with(&self, other: &Flowtree) -> bool {
         Arc::ptr_eq(&self.arena, &other.arena)
-    }
-
-    /// A structural fingerprint for value numbering: a commutative,
-    /// deterministic hash over the `(key, own score)` multiset plus the
-    /// tree's counters. Layout- and history-independent — equal trees hash
-    /// equal regardless of slot order or compression path. Used by the
-    /// summary store as a cheap pre-filter before [`Flowtree::dedup_with`].
-    pub fn value_number(&self) -> u64 {
-        let mut acc: u64 = 0;
-        for id in self.arena.live_ids() {
-            let s = self.arena.slot(id);
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            s.key.hash(&mut h);
-            s.own.value().hash(&mut h);
-            acc = acc.wrapping_add(h.finish());
-        }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.len().hash(&mut h);
-        self.total.value().hash(&mut h);
-        self.records.hash(&mut h);
-        acc.wrapping_add(h.finish())
-    }
-
-    /// Hash-consing across trees: if `canonical` is structurally equal to
-    /// `self` (same configuration, keys, scores, and counters), drop this
-    /// tree's arena and share `canonical`'s instead. Returns whether the
-    /// arenas were united; `false` when the trees differ or already share
-    /// storage. After a successful dedup the trees report one
-    /// [`Flowtree::storage_token`] and later mutation of either side
-    /// copy-on-writes, so sharing is never observable through the API.
-    pub fn dedup_with(&mut self, canonical: &Flowtree) -> bool {
-        if Arc::ptr_eq(&self.arena, &canonical.arena) || self != canonical {
-            return false;
-        }
-        self.arena = Arc::clone(&canonical.arena);
-        true
     }
 
     /// Ingests one raw flow record ("uses existing network traces as input
@@ -439,20 +355,11 @@ impl Flowtree {
         self.maybe_compress();
     }
 
-    /// Inserts `key` with `score` *without* materializing missing ancestors
-    /// (the node attaches under its deepest already-materialized ancestor).
-    /// Used to reconstruct a tree from its `(key, score)` pairs exactly.
-    pub(crate) fn insert_exact(&mut self, key: &FlowKey, score: Popularity) {
-        let key = self
-            .config
-            .schema
-            .normalize(&key.project(self.config.features));
-        self.insert_normalized([(key, score)]);
-    }
-
-    /// [`Flowtree::insert_exact`] for each `(key, score)` of `nodes`, in
-    /// order, every key already normalized and projected under this tree's
-    /// schema and features — as every key of a
+    /// Adds each `(key, score)` of `nodes`, in order, *without*
+    /// materializing missing ancestors: a new node attaches under its
+    /// deepest already-materialized ancestor. Every key must already be
+    /// normalized and projected under this tree's schema and features — as
+    /// every key of a
     /// [compatible](FlowtreeConfig::compatible_with) tree is. The
     /// copy-on-write check is made once for the whole batch, and not at
     /// all when `nodes` is empty.
@@ -630,8 +537,7 @@ impl Flowtree {
     // ------------------------------------------------------------------
 
     /// Mutable arena access: copy-on-write. If the arena is shared with a
-    /// snapshot or a deduplicated twin, this clones it (minting a fresh
-    /// storage token); a sole owner mutates in place.
+    /// snapshot, this clones it; a sole owner mutates in place.
     fn arena_mut(&mut self) -> &mut Arena {
         Arc::make_mut(&mut self.arena)
     }
@@ -958,6 +864,13 @@ mod tests {
         Flowtree::new(FlowtreeConfig::default().with_capacity(1024))
     }
 
+    /// Adds `score` at `key` without materializing missing ancestors and
+    /// without compressing.
+    fn insert_exact(t: &mut Flowtree, key: &FlowKey, score: Popularity) {
+        let key = t.config.schema.normalize(&key.project(t.config.features));
+        t.insert_normalized([(key, score)]);
+    }
+
     #[test]
     fn empty_tree() {
         let t = small_tree();
@@ -1099,12 +1012,10 @@ mod tests {
         }
         let snap = t.clone();
         assert!(t.shares_storage_with(&snap), "clone must share the arena");
-        assert_eq!(t.storage_token(), snap.storage_token());
         // Mutating the original copy-on-writes: the snapshot is untouched
-        // and the storage identities diverge.
+        // and the storage diverges.
         t.observe(&rec("10.9.9.9", "1.1.1.1", 100));
         assert!(!t.shares_storage_with(&snap));
-        assert_ne!(t.storage_token(), snap.storage_token());
         assert_eq!(snap.total().value(), 60);
         assert_eq!(t.total().value(), 160);
         snap.check_invariants();
@@ -1123,22 +1034,21 @@ mod tests {
         }
         merged.merge(&donor);
         assert!(!merged.shares_storage_with(&snap));
-        let split = merged.storage_token();
-        assert_ne!(split, snap.storage_token());
+        let split = Arc::as_ptr(&merged.arena);
         assert_eq!(snap.flat_nodes(), frozen);
         assert_eq!(snap.total().value(), 60);
         assert_eq!(merged.total().value(), 60 + 150);
         // A sole owner merges in place: no second split.
         merged.merge(&donor);
-        assert_eq!(merged.storage_token(), split);
+        assert_eq!(Arc::as_ptr(&merged.arena), split);
         assert_eq!(merged.total().value(), 60 + 300);
         snap.check_invariants();
         merged.check_invariants();
     }
 
     #[test]
-    fn value_number_is_layout_independent() {
-        // Same contents via different construction orders → same VN.
+    fn equality_is_layout_independent() {
+        // Same contents via different construction orders compare equal.
         let mut a = small_tree();
         let mut b = small_tree();
         for i in 0..15u32 {
@@ -1148,29 +1058,8 @@ mod tests {
             b.observe(&rec(&format!("10.0.{}.1", i), "1.1.1.1", 2));
         }
         assert_eq!(a, b);
-        assert_eq!(a.value_number(), b.value_number());
-        // Different contents → (overwhelmingly) different VN.
         b.observe(&rec("10.0.0.1", "1.1.1.1", 1));
-        assert_ne!(a.value_number(), b.value_number());
-    }
-
-    #[test]
-    fn dedup_unites_equal_trees_only() {
-        let mut a = small_tree();
-        let mut b = small_tree();
-        for i in 0..10u32 {
-            a.observe(&rec(&format!("10.0.{}.1", i), "1.1.1.1", 2));
-            b.observe(&rec(&format!("10.0.{}.1", i), "1.1.1.1", 2));
-        }
-        assert!(!a.shares_storage_with(&b));
-        assert!(a.dedup_with(&b), "equal trees must unite");
-        assert!(a.shares_storage_with(&b));
-        assert!(!a.dedup_with(&b), "already-shared trees report false");
-        let mut c = small_tree();
-        c.observe(&rec("10.0.0.1", "1.1.1.1", 1));
-        assert!(!c.dedup_with(&b), "different trees must not unite");
-        a.check_invariants();
-        b.check_invariants();
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -1271,7 +1160,8 @@ mod tests {
         let tight = FlowtreeConfig::default().with_capacity(1);
         let mut big = Flowtree::new(config.clone());
         for i in 0..40u32 {
-            big.insert_exact(
+            insert_exact(
+                &mut big,
                 &FlowKey::from_record(&rec(&format!("10.0.{}.1", i), "1.1.1.1", 0)),
                 Popularity::new(1),
             );
@@ -1289,7 +1179,8 @@ mod tests {
         // insert_exact never compresses, so pushing far past the budget
         // without a reserve must trip the assertion.
         for i in 0..500u32 {
-            t.insert_exact(
+            insert_exact(
+                &mut t,
                 &FlowKey::from_record(&rec(&format!("10.{}.{}.1", i % 50, i), "1.1.1.1", 0)),
                 Popularity::new(1),
             );

@@ -140,7 +140,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy type of [`vec`].
+    /// Strategy type of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: core::ops::Range<usize>,

@@ -9,8 +9,8 @@
 //!   break-even rule (2-competitive, Karlin et al.), the randomized rule
 //!   (e/(e−1)-competitive), and the distribution-aware average-case optimal
 //!   threshold (Fujiwara & Iwama style) fitted from past partitions,
-//! * [`policy`] — the [`ReplicationPolicy`](policy::ReplicationPolicy)
-//!   enum the manager installs per data store,
+//! * [`policy`] — the [`ReplicationPolicy`] enum the manager installs per
+//!   data store,
 //! * [`tracker`] — per-partition access records ("the accesses of
 //!   partitions ① can be recorded by the manager"),
 //! * [`simulator`] — an offline replayer that scores a policy against a

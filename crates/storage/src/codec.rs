@@ -3,7 +3,7 @@
 //! Little-endian, length-delimited, self-describing via one-byte tags —
 //! deliberately boring, except where the bytes are: Flowtree node entries
 //! are nearly all of a sealed segment, so each is written relative to its
-//! parent (see [`enc_flowtree`]), about 5 B instead of a fixed 37 B. Two
+//! parent (see `enc_flowtree`), about 5 B instead of a fixed 37 B. Two
 //! properties matter more than compactness:
 //!
 //! 1. **Roundtrip identity.** `decode(encode(x)) == x` under each type's

@@ -12,7 +12,7 @@
 //!   `epoch-<seq>.seg`);
 //! * [`wal`] — a write-ahead log for records of the current epoch, giving
 //!   the bounded per-edge spill/ingest path durable backing;
-//! * [`tier`] — the [`ColdTier`](tier::ColdTier) handle gluing both to a
+//! * [`tier`] — the [`ColdTier`] handle gluing both to a
 //!   directory, with explicit fsync discipline ([`SyncPolicy`]), recovery
 //!   ([`tier::ColdTier::open`]), and deterministic fault injection for the
 //!   kill-and-restart proof;

@@ -620,7 +620,9 @@ fn parse_index(data: &[u8]) -> Option<(usize, Vec<FrameInfo>)> {
     Some((index_off, entries))
 }
 
-fn read_u32(buf: &[u8], at: usize) -> u32 {
+/// The little-endian `u32` at `buf[at..]`, zero-padded where `buf` ends
+/// early.
+pub(crate) fn read_u32(buf: &[u8], at: usize) -> u32 {
     let mut a = [0u8; 4];
     for (dst, src) in a.iter_mut().zip(buf.iter().skip(at)) {
         *dst = *src;
@@ -628,7 +630,9 @@ fn read_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(a)
 }
 
-fn read_u64(buf: &[u8], at: usize) -> u64 {
+/// The little-endian `u64` at `buf[at..]`, zero-padded where `buf` ends
+/// early.
+pub(crate) fn read_u64(buf: &[u8], at: usize) -> u64 {
     let mut a = [0u8; 8];
     for (dst, src) in a.iter_mut().zip(buf.iter().skip(at)) {
         *dst = *src;

@@ -27,7 +27,7 @@ use megastream_flow::record::FlowRecord;
 
 use crate::codec::{dec_flow_record, enc_flow_record, Reader};
 use crate::crc::crc32;
-use crate::segment::{io_err, sync_dir, FORMAT_VERSION, MAX_FRAME_BYTES};
+use crate::segment::{io_err, read_u32, read_u64, sync_dir, FORMAT_VERSION, MAX_FRAME_BYTES};
 use crate::SegmentError;
 
 /// Magic bytes opening the WAL.
@@ -172,7 +172,7 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Builds the full chunk ([len][crc][payload]) for a record — split out
+    /// Builds the full chunk (`[len][crc][payload]`) for a record — split out
     /// so the fault injector can write a prefix of it.
     pub fn chunk_for(rec: &WalRecord) -> Vec<u8> {
         let mut chunk = Vec::new();
@@ -243,21 +243,21 @@ pub fn read_wal(path: &Path) -> Result<Option<WalScan>, SegmentError> {
         }
     };
     let magic_ok = header.get(..4) == Some(&WAL_MAGIC[..]);
-    let stored_crc = u32_at(header, 16);
+    let stored_crc = read_u32(header, 16);
     let crc_ok = crc32(header.get(4..16).unwrap_or_default()) == stored_crc;
     if !magic_ok || !crc_ok {
         scan.torn_frames = 1;
         scan.truncated_bytes = data.len() as u64;
         return Ok(Some(scan));
     }
-    let version = u32_at(header, 4);
+    let version = read_u32(header, 4);
     if version != FORMAT_VERSION {
         return Err(SegmentError::UnsupportedVersion {
             path: path.to_path_buf(),
             found: version,
         });
     }
-    scan.epoch_seq = u64_at(header, 8);
+    scan.epoch_seq = read_u64(header, 8);
 
     let mut pos = WAL_HEADER_BYTES as usize;
     while pos < data.len() {
@@ -270,8 +270,8 @@ pub fn read_wal(path: &Path) -> Result<Option<WalScan>, SegmentError> {
                 break;
             }
         };
-        let len = u32_at(header, 0) as usize;
-        let crc = u32_at(header, 4);
+        let len = read_u32(header, 0) as usize;
+        let crc = read_u32(header, 4);
         if len as u64 > MAX_FRAME_BYTES || pos + 8 + len > data.len() {
             scan.torn_frames += 1;
             scan.truncated_bytes += remaining as u64;
@@ -294,22 +294,6 @@ pub fn read_wal(path: &Path) -> Result<Option<WalScan>, SegmentError> {
         pos += 8 + len;
     }
     Ok(Some(scan))
-}
-
-fn u32_at(buf: &[u8], at: usize) -> u32 {
-    let mut a = [0u8; 4];
-    for (dst, src) in a.iter_mut().zip(buf.iter().skip(at)) {
-        *dst = *src;
-    }
-    u32::from_le_bytes(a)
-}
-
-fn u64_at(buf: &[u8], at: usize) -> u64 {
-    let mut a = [0u8; 8];
-    for (dst, src) in a.iter_mut().zip(buf.iter().skip(at)) {
-        *dst = *src;
-    }
-    u64::from_le_bytes(a)
 }
 
 #[cfg(test)]

@@ -75,6 +75,20 @@ fn strategies() -> [StorageStrategy; 3] {
     ]
 }
 
+/// Whether two stored Flowtree summaries share one arena. The store's
+/// deep-byte account is a plain sum of its summaries, so it counts no
+/// arena twice only while none do.
+fn shares_an_arena(store: &SummaryStore) -> bool {
+    let trees: Vec<&Flowtree> = store
+        .iter()
+        .filter_map(|s| s.summary.as_flowtree())
+        .collect();
+    trees
+        .iter()
+        .enumerate()
+        .any(|(i, a)| trees[i + 1..].iter().any(|b| a.shares_storage_with(b)))
+}
+
 // ------------------------------------------------ summary-store invariant
 
 proptest! {
@@ -101,55 +115,18 @@ proptest! {
                     strategy,
                     e
                 );
+                prop_assert!(
+                    !shares_an_arena(&store),
+                    "strategy {:?} shares an arena after insert {}",
+                    strategy,
+                    e
+                );
             }
             // Late enforcement (time passing with no inserts) must hold too.
             store.enforce(Timestamp::from_secs(10_000));
             prop_assert_eq!(store.accounted_deep_bytes(), store.deep_bytes());
+            prop_assert!(!shares_an_arena(&store));
         }
-    }
-
-    /// Duplicate-content inserts: value-numbered dedup must fire (every
-    /// copy after the first adopts the canonical arena), shared subtrees
-    /// must be charged *once*, and the delta-maintained account must still
-    /// equal the from-scratch recompute — the recompute walks distinct
-    /// storage tokens, so any double-count or missed discharge on the
-    /// dedup path shows up immediately.
-    #[test]
-    fn summary_store_dedup_accounts_shared_arenas_once(
-        flows in vec((any::<u32>(), any::<u32>()), 1..20),
-        copies in 2usize..8,
-    ) {
-        let mut store = SummaryStore::new(
-            StorageStrategy::FixedExpiration {
-                ttl: TimeDelta::from_secs(1_000_000),
-            },
-            "dedup-loc",
-        );
-        let single = epoch_summary("router-a", 0, &flows).summary.deep_bytes();
-        for e in 0..copies {
-            let now = Timestamp::from_secs((e as u64 + 1) * 60);
-            store.insert(epoch_summary("router-a", e as u64, &flows), now);
-            prop_assert_eq!(
-                store.accounted_deep_bytes(),
-                store.deep_bytes(),
-                "account diverged after duplicate insert {}",
-                e
-            );
-        }
-        // Every copy after the first carries identical content and must
-        // have adopted the first copy's arena.
-        prop_assert_eq!(store.dedup_hits(), copies as u64 - 1);
-        // All copies together hold exactly one distinct arena, so the
-        // store's deep size stays well below `copies` independent trees.
-        let (arena_nodes, arena_bytes) = store.arena_stats();
-        prop_assert!(arena_nodes > 0 && arena_bytes > 0);
-        prop_assert!(
-            store.deep_bytes() < copies * single,
-            "dedup saved nothing: {} copies of {} bytes occupy {}",
-            copies,
-            single,
-            store.deep_bytes()
-        );
     }
 
     /// A full `DataStore` under arbitrary ingest/rotate/import schedules:
@@ -204,10 +181,17 @@ proptest! {
                 i,
                 op % 4
             );
+            prop_assert!(
+                !shares_an_arena(store.summaries()),
+                "stored summaries share an arena after op {} ({})",
+                i,
+                op % 4
+            );
         }
         // After a final rotation the gauge must carry exactly the account.
         store.rotate_epoch(now + TimeDelta::from_secs(60));
         prop_assert_eq!(store.accounted_bytes(), store.deep_bytes());
+        prop_assert!(!shares_an_arena(store.summaries()));
         let gauge = tel
             .snapshot()
             .gauge(&labeled("store.memory.bytes", "store", "prop-store"));
@@ -262,6 +246,11 @@ fn assert_stores_consistent(fs: &Flowstream) {
             store.accounted_bytes(),
             store.deep_bytes(),
             "store {} account diverged",
+            store.name()
+        );
+        assert!(
+            !shares_an_arena(store.summaries()),
+            "store {} shares an arena",
             store.name()
         );
         // The exported gauge carries the same number (it is refreshed at

@@ -223,19 +223,13 @@ fn run_sequence(seed: u64, ops: usize) -> Pair {
                     snapshots.remove(0);
                 }
             }
-            // Serialization: flat-frame round-trip is lossless and the
-            // reconstruction carries the same value number.
+            // Serialization: flat-frame round-trip is lossless.
             86..=88 => {
                 let flat = pair.arena.flat_nodes();
                 let cfg = pair.arena.config().clone();
                 let rt = Flowtree::try_from_flat(cfg, &flat, pair.arena.records())
                     .expect("round-trip of a live tree's own frame never fails");
                 assert_eq!(rt, pair.arena, "flat round-trip diverged @ step {step}");
-                assert_eq!(
-                    rt.value_number(),
-                    pair.arena.value_number(),
-                    "value number not a pure function of content @ step {step}"
-                );
             }
             // The read-only operator battery.
             89..=98 => pair.assert_queries_equal(&mut rng, step),
