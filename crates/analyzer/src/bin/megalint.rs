@@ -1,47 +1,37 @@
 //! `megalint` — the workspace static-analysis gate.
 //!
 //! ```text
-//! megalint                     # analyze ., deny mode, human output
+//! megalint                     # analyze ., human output
 //! megalint --json              # machine-readable, stable ordering
 //! megalint --explain <pass>    # what a rule checks and why it exists
 //! megalint --list-passes       # all passes with one-line summaries
 //! megalint --emit-metric-table # the DESIGN.md metric registry table
-//! megalint --warn <pass>       # downgrade one pass to advisory
 //! ```
 //!
-//! Exit code 0 when clean (warn findings allowed), 1 on deny findings,
-//! stale `lint.allow` entries, or usage/IO errors.
+//! Exit code 0 when clean, 1 on any finding or on usage/IO errors.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use megastream_analyzer::findings::Level;
 use megastream_analyzer::passes::all_passes;
-use megastream_analyzer::{run, Config};
+use megastream_analyzer::run;
 
 struct Args {
     root: PathBuf,
-    allow: Option<PathBuf>,
     json: bool,
-    verbose: bool,
     emit_metric_table: bool,
     explain: Option<String>,
     list_passes: bool,
-    levels: BTreeMap<String, Level>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        allow: None,
         json: false,
-        verbose: false,
         emit_metric_table: false,
         explain: None,
         list_passes: false,
-        levels: BTreeMap::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -49,28 +39,12 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
-            "--allow" => {
-                args.allow = Some(PathBuf::from(it.next().ok_or("--allow needs a file")?));
-            }
             "--json" => args.json = true,
-            "--verbose" | "-v" => args.verbose = true,
             "--emit-metric-table" => args.emit_metric_table = true,
             "--explain" => {
                 args.explain = Some(it.next().ok_or("--explain needs a pass id")?);
             }
             "--list-passes" => args.list_passes = true,
-            "--warn" | "--deny" => {
-                let level = if arg == "--warn" {
-                    Level::Warn
-                } else {
-                    Level::Deny
-                };
-                let pass = it.next().ok_or_else(|| format!("{arg} needs a pass id"))?;
-                if !all_passes().iter().any(|p| p.id() == pass) {
-                    return Err(format!("unknown pass `{pass}` (see --list-passes)"));
-                }
-                args.levels.insert(pass, level);
-            }
             "--help" | "-h" => {
                 emit(HELP);
                 emit("\n");
@@ -88,14 +62,10 @@ USAGE: megalint [OPTIONS]
 
 OPTIONS:
     --root <DIR>         workspace root to analyze (default: .)
-    --allow <FILE>       allowlist path (default: <root>/lint.allow)
     --json               machine-readable output (sorted, diffable)
-    --verbose, -v        also print allowlisted findings
     --explain <PASS>     print what a pass checks and why, then exit
     --list-passes        list all passes, then exit
-    --emit-metric-table  print the DESIGN.md metric registry table, then exit
-    --warn <PASS>        run PASS at warn level (advisory)
-    --deny <PASS>        run PASS at deny level (the default)";
+    --emit-metric-table  print the DESIGN.md metric registry table, then exit";
 
 /// Writes to stdout ignoring `EPIPE`, so `megalint | head` exits quietly
 /// instead of panicking when the reader closes early.
@@ -132,12 +102,7 @@ fn main() -> ExitCode {
         eprintln!("megalint: unknown pass `{id}` (see --list-passes)");
         return ExitCode::FAILURE;
     }
-    let mut config = Config::new(&args.root);
-    if let Some(allow) = args.allow {
-        config.allow_path = allow;
-    }
-    config.levels = args.levels;
-    let report = match run(&config) {
+    let report = match run(&args.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("megalint: {e}");
@@ -152,7 +117,7 @@ fn main() -> ExitCode {
         emit(&report.render_json());
         emit("\n");
     } else {
-        emit(&report.render_text(args.verbose));
+        emit(&report.render_text());
     }
     if report.is_failure() {
         ExitCode::FAILURE

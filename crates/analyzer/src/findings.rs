@@ -1,43 +1,21 @@
-//! Findings: what a pass reports, how it is leveled, sorted, and rendered.
+//! Findings: what a pass reports, how it is sorted, and rendered. Every
+//! finding fails the run (exit 1).
 
 use std::fmt::Write as _;
-
-/// Severity of a finding. `Deny` findings fail the run (exit 1) unless
-/// matched by a `lint.allow` entry; `Warn` findings are printed but never
-/// fail the gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// Advisory: printed, never fatal, never allowlistable.
-    Warn,
-    /// Gate: fatal unless allowlisted with a justification.
-    Deny,
-}
-
-impl Level {
-    /// Lowercase name used in text and JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Warn => "warn",
-            Level::Deny => "deny",
-        }
-    }
-}
 
 /// One finding, anchored to a file position.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// The pass that produced it (`panic-surface`, `determinism`, …).
+    /// The pass that produced it (`gates`, `lock-discipline`, …).
     pub pass: &'static str,
-    /// Severity after any CLI level overrides.
-    pub level: Level,
     /// Workspace-relative path.
     pub file: String,
     /// 1-based line.
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Short stable key used for allowlist matching (`unwrap`, `HashMap`,
-    /// `Instant::now`, a metric name, a lock edge `a->b`, …).
+    /// Short stable key naming what was found (`unsafe`, `ignore`, a metric
+    /// name, a lock edge `a->b`, …).
     pub key: String,
     /// Human-oriented explanation of this specific site.
     pub message: String,
@@ -56,17 +34,11 @@ impl Finding {
         )
     }
 
-    /// `path:line:col: [level] pass/key: message`
+    /// `path:line:col: pass/key: message`
     pub fn render_text(&self) -> String {
         format!(
-            "{}:{}:{}: [{}] {}/{}: {}",
-            self.file,
-            self.line,
-            self.col,
-            self.level.name(),
-            self.pass,
-            self.key,
-            self.message
+            "{}:{}:{}: {}/{}: {}",
+            self.file, self.line, self.col, self.pass, self.key, self.message
         )
     }
 }
@@ -99,9 +71,8 @@ pub fn render_json_array(findings: &[Finding]) -> String {
         }
         let _ = write!(
             out,
-            "{{\"pass\":\"{}\",\"level\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"key\":\"{}\",\"message\":\"{}\"}}",
+            "{{\"pass\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"key\":\"{}\",\"message\":\"{}\"}}",
             json_escape(f.pass),
-            f.level.name(),
             json_escape(&f.file),
             f.line,
             f.col,
@@ -120,17 +91,16 @@ mod tests {
     #[test]
     fn text_rendering() {
         let f = Finding {
-            pass: "panic-surface",
-            level: Level::Deny,
+            pass: "gates",
             file: "crates/flow/src/x.rs".into(),
             line: 3,
             col: 9,
-            key: "unwrap".into(),
-            message: "non-test unwrap()".into(),
+            key: "unsafe".into(),
+            message: "`unsafe` is banned".into(),
         };
         assert_eq!(
             f.render_text(),
-            "crates/flow/src/x.rs:3:9: [deny] panic-surface/unwrap: non-test unwrap()"
+            "crates/flow/src/x.rs:3:9: gates/unsafe: `unsafe` is banned"
         );
     }
 
@@ -139,7 +109,6 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let f = Finding {
             pass: "gates",
-            level: Level::Warn,
             file: "a.rs".into(),
             line: 1,
             col: 1,

@@ -1,81 +1,46 @@
 //! # megastream-analyzer (`megalint`)
 //!
 //! A zero-dependency static-analysis subsystem for the megastream
-//! workspace. The data plane's correctness rests on conventions the
-//! compiler cannot see — panic-free merge/rotate paths, deterministic
-//! iteration order, a cycle-free lock graph, stable dotted metric names —
-//! and until this crate they were enforced by `grep`/`awk` lines in
-//! `scripts/check.sh` that matched comments and string literals and
-//! truncated files at the first `#[cfg(test)]`. `megalint` re-states those
-//! conventions as lexer-accurate passes over the whole workspace:
+//! workspace. Some of the data plane's conventions are invisible to the
+//! compiler and to clippy — a cycle-free lock graph, stable dotted metric
+//! names, no `unsafe` or `#[ignore]` even where cargo's lint configuration
+//! does not reach — and until this crate they were enforced by `grep`/`awk`
+//! lines in `scripts/check.sh` that matched comments and string literals
+//! and truncated files at the first `#[cfg(test)]`. `megalint` re-states
+//! those conventions as lexer-accurate passes over the whole workspace:
 //!
-//! * [`passes::panic_surface`] — no `unwrap`/`expect`/`panic!` in
-//!   data-plane non-test code;
-//! * [`passes::determinism`] — wall clocks only in `telemetry::clock`, no
-//!   `HashMap`/`HashSet` in result-affecting crates;
 //! * [`passes::lock_discipline`] — the cross-file lock acquisition graph
 //!   is proven acyclic, no sends under a lock;
 //! * [`passes::metric_registry`] — dotted metric names, one type per name,
 //!   DESIGN.md registry table in sync;
 //! * [`passes::gates`] — token-accurate `unsafe` / `#[ignore]` bans.
 //!
-//! Suppressions live in `lint.allow` at the workspace root; every entry
-//! carries a mandatory justification and goes stale (fails the run) the
-//! moment the code it excuses is fixed. Findings are sorted so two runs
-//! over the same tree are byte-identical — `--json` output is diffable and
-//! CI-ready.
+//! The panic-surface and determinism rules live in clippy's configuration
+//! instead (DESIGN.md §12). Every finding fails the run. Findings are
+//! sorted so two runs over the same tree are byte-identical — `--json`
+//! output is diffable and CI-ready.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allow;
 pub mod findings;
 pub mod lexer;
 pub mod passes;
 pub mod source;
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use allow::{AllowOutcome, Allowlist};
-use findings::{Finding, Level};
+use findings::Finding;
 use passes::lock_discipline::LockGraph;
 use passes::metric_registry::MetricTable;
 use passes::{all_passes, Ctx};
 use source::Workspace;
 
-/// How one run is configured.
-pub struct Config {
-    /// Workspace root to analyze.
-    pub root: PathBuf,
-    /// Path to the allowlist (default `<root>/lint.allow`).
-    pub allow_path: PathBuf,
-    /// Per-pass level overrides (`--warn <pass>` / `--deny <pass>`).
-    pub levels: BTreeMap<String, Level>,
-}
-
-impl Config {
-    /// Default configuration rooted at `root`: every pass at deny level,
-    /// allowlist at `<root>/lint.allow`.
-    pub fn new(root: &Path) -> Config {
-        Config {
-            root: root.to_path_buf(),
-            allow_path: root.join("lint.allow"),
-            levels: BTreeMap::new(),
-        }
-    }
-}
-
 /// Everything one analysis run produced.
 pub struct Report {
-    /// Findings that survived the allowlist, sorted.
+    /// Every finding, sorted.
     pub findings: Vec<Finding>,
-    /// Findings excused by `lint.allow`, sorted (shown with `--verbose`,
-    /// counted in the summary).
-    pub suppressed: Vec<Finding>,
-    /// Stale allowlist entries (fatal).
-    pub stale_allows: Vec<allow::AllowEntry>,
     /// The lock acquisition graph, for the acyclicity proof in the output.
     pub lock_graph: LockGraph,
     /// The collected metric table (drives `--emit-metric-table`).
@@ -87,28 +52,15 @@ pub struct Report {
 impl Report {
     /// Does the run fail the gate?
     pub fn is_failure(&self) -> bool {
-        self.findings.iter().any(|f| f.level == Level::Deny) || !self.stale_allows.is_empty()
+        !self.findings.is_empty()
     }
 
     /// Human-readable report.
-    pub fn render_text(&self, verbose: bool) -> String {
+    pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
             out.push_str(&f.render_text());
             out.push('\n');
-        }
-        if verbose {
-            for f in &self.suppressed {
-                let _ = writeln!(out, "allowed: {}", f.render_text());
-            }
-        }
-        for e in &self.stale_allows {
-            let _ = writeln!(
-                out,
-                "lint.allow:{}: [deny] allowlist/stale: entry `{} {} {}` matches no finding — \
-                 remove it",
-                e.line, e.pass, e.path, e.key
-            );
         }
         let cycle = self.lock_graph.find_cycle();
         let _ = writeln!(
@@ -121,21 +73,12 @@ impl Report {
                 Some(c) => format!("CYCLE through {}", c.join(", ")),
             }
         );
-        let denies = self
-            .findings
-            .iter()
-            .filter(|f| f.level == Level::Deny)
-            .count();
-        let warns = self.findings.len() - denies;
         let _ = writeln!(
             out,
-            "megalint: {} files, {} metrics; {} deny, {} warn, {} allowed, {} stale allow{}",
+            "megalint: {} files, {} metrics; {} findings{}",
             self.files,
             self.metric_table.metrics.len(),
-            denies,
-            warns,
-            self.suppressed.len(),
-            self.stale_allows.len(),
+            self.findings.len(),
             if self.is_failure() {
                 " — FAIL"
             } else {
@@ -150,25 +93,9 @@ impl Report {
         let mut out = String::from("{");
         let _ = write!(
             out,
-            "\"findings\":{},\"suppressed\":{},",
-            findings::render_json_array(&self.findings),
-            findings::render_json_array(&self.suppressed)
+            "\"findings\":{},",
+            findings::render_json_array(&self.findings)
         );
-        let _ = write!(out, "\"stale_allows\":[");
-        for (i, e) in self.stale_allows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"pass\":\"{}\",\"path\":\"{}\",\"key\":\"{}\",\"line\":{}}}",
-                findings::json_escape(&e.pass),
-                findings::json_escape(&e.path),
-                findings::json_escape(&e.key),
-                e.line
-            );
-        }
-        out.push_str("],");
         let cycle = self.lock_graph.find_cycle();
         let _ = write!(
             out,
@@ -213,19 +140,9 @@ impl Report {
         );
         let _ = write!(
             out,
-            "\"summary\":{{\"files\":{},\"deny\":{},\"warn\":{},\"allowed\":{},\"stale\":{},\
-             \"ok\":{}}}",
+            "\"summary\":{{\"files\":{},\"findings\":{},\"ok\":{}}}",
             self.files,
-            self.findings
-                .iter()
-                .filter(|f| f.level == Level::Deny)
-                .count(),
-            self.findings
-                .iter()
-                .filter(|f| f.level == Level::Warn)
-                .count(),
-            self.suppressed.len(),
-            self.stale_allows.len(),
+            self.findings.len(),
             !self.is_failure()
         );
         out.push('}');
@@ -233,40 +150,26 @@ impl Report {
     }
 }
 
-/// Runs every pass over the workspace at `config.root`.
-pub fn run(config: &Config) -> Result<Report, String> {
-    let ws = Workspace::load(&config.root)?;
-    let design_md = std::fs::read_to_string(config.root.join("DESIGN.md")).ok();
-    let ctx = Ctx { ws: &ws, design_md };
-    let allowlist = Allowlist::load(&config.allow_path)?;
-    run_with(&ctx, &allowlist, &config.levels)
+/// Runs every pass over the workspace at `root`.
+pub fn run(root: &Path) -> Result<Report, String> {
+    let ws = Workspace::load(root)?;
+    let design_md = std::fs::read_to_string(root.join("DESIGN.md")).ok();
+    Ok(run_with(&Ctx { ws: &ws, design_md }))
 }
 
 /// Runs every pass over an already-lexed context (used by fixture tests).
-pub fn run_with(
-    ctx: &Ctx<'_>,
-    allowlist: &Allowlist,
-    levels: &BTreeMap<String, Level>,
-) -> Result<Report, String> {
-    let mut raw = Vec::new();
+pub fn run_with(ctx: &Ctx<'_>) -> Report {
+    let mut findings = Vec::new();
     for pass in all_passes() {
-        let level = levels.get(pass.id()).copied().unwrap_or(Level::Deny);
-        pass.run(ctx, level, &mut raw);
+        pass.run(ctx, &mut findings);
     }
-    raw.sort_by_key(|f| f.sort_key());
-    let AllowOutcome {
-        kept,
-        suppressed,
-        stale,
-    } = allowlist.apply(raw);
+    findings.sort_by_key(|f| f.sort_key());
     let (lock_graph, _) = passes::lock_discipline::build_graph(ctx);
-    let metric_table = passes::metric_registry::collect(ctx, Level::Deny, &mut Vec::new());
-    Ok(Report {
-        findings: kept,
-        suppressed,
-        stale_allows: stale,
+    let metric_table = passes::metric_registry::collect(ctx, &mut Vec::new());
+    Report {
+        findings,
         lock_graph,
         metric_table,
         files: ctx.ws.files.len(),
-    })
+    }
 }

@@ -7,10 +7,10 @@
 //! `.unwrap()`/`.expect(` in telemetry that truncated each file at the
 //! *first* `#[cfg(test)]` marker — so any code after a test module was
 //! simply never checked. This pass re-states the first two in token space;
-//! the telemetry-unwrap gate is subsumed by `panic-surface`, which covers
-//! telemetry as a data-plane crate without the truncation bug.
+//! clippy's `unwrap_used` and `expect_used` took over the telemetry-unwrap
+//! gate (DESIGN.md §12).
 
-use crate::findings::{Finding, Level};
+use crate::findings::Finding;
 use crate::lexer::TokenKind;
 use crate::passes::{report, Ctx, Pass};
 
@@ -37,12 +37,11 @@ being *removed* along with unsafe being added, which the compiler alone would ac
 chaos/parallel equivalence suites are the correctness proof, and PR 2 made their \
 non-ignoring a checked invariant. Both were previously greps that matched inside \
 comments and string literals; this pass only sees code tokens, so writing the word \
-`unsafe` in a doc comment (or in this very explain string) is fine.\n\
-ALLOWLIST: not expected to be used; any entry needs a justification strong enough to \
-survive review of why the workspace-wide ban should bend."
+`unsafe` in a doc comment (or in this very explain string) is fine. The pass also \
+scans perfbench/, which has a Cargo workspace of its own."
     }
 
-    fn run(&self, ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>) {
+    fn run(&self, ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
         for file in &ctx.ws.files {
             let toks = &file.tokens;
             for i in 0..toks.len() {
@@ -52,7 +51,6 @@ survive review of why the workspace-wide ban should bend."
                         file,
                         i,
                         self.id(),
-                        level,
                         "unsafe",
                         "`unsafe` is banned workspace-wide (every crate forbids unsafe_code)"
                             .to_string(),
@@ -69,7 +67,6 @@ survive review of why the workspace-wide ban should bend."
                         file,
                         i,
                         self.id(),
-                        level,
                         "ignore",
                         "`#[ignore]`d tests are not allowed: an ignored test is a silently \
                          shrinking suite"
@@ -95,7 +92,7 @@ mod tests {
             design_md: None,
         };
         let mut out = Vec::new();
-        Gates.run(&ctx, Level::Deny, &mut out);
+        Gates.run(&ctx, &mut out);
         out
     }
 

@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::findings::{Finding, Level};
+use crate::findings::Finding;
 use crate::lexer::TokenKind;
 use crate::passes::{Ctx, Pass};
 use crate::source::{FileClass, SourceFile};
@@ -110,16 +110,11 @@ lock-sharded by design (16 name-hashed shards, PR 1/2). Today every function tak
 shard at a time; the moment someone adds a second nested shard lookup or logs under a \
 guard, the ordering discipline exists only in review comments. The graph makes it a \
 machine-checked invariant, and `megalint` prints it (`locks/edges/acyclic`) so the proof \
-is visible, not just the absence of an error.\n\
-ALLOWLIST: a cycle edge may be excused only with a justification naming the external \
-ordering guarantee (e.g. one arm is init-only before threads exist)."
+is visible, not just the absence of an error."
     }
 
-    fn run(&self, ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>) {
+    fn run(&self, ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
         let (graph, mut local_findings) = build_graph(ctx);
-        for f in &mut local_findings {
-            f.level = level;
-        }
         out.append(&mut local_findings);
         if let Some(cycle) = graph.find_cycle() {
             let members: BTreeSet<&str> = cycle.iter().map(String::as_str).collect();
@@ -127,7 +122,6 @@ ordering guarantee (e.g. one arm is init-only before threads exist)."
                 if members.contains(held.as_str()) && members.contains(acquired.as_str()) {
                     out.push(Finding {
                         pass: self.id(),
-                        level,
                         file: file.clone(),
                         line: *line,
                         col: 1,
@@ -150,10 +144,7 @@ pub fn build_graph(ctx: &Ctx<'_>) -> (LockGraph, Vec<Finding>) {
     let mut graph = LockGraph::default();
     let mut findings = Vec::new();
     for file in &ctx.ws.files {
-        if !matches!(
-            file.class,
-            FileClass::DataPlaneSrc | FileClass::CrateSrc | FileClass::RootSrc
-        ) {
+        if !matches!(file.class, FileClass::CrateSrc | FileClass::RootSrc) {
             continue;
         }
         scan_file(file, &mut graph, &mut findings);
@@ -200,7 +191,6 @@ fn scan_file(file: &SourceFile, graph: &mut LockGraph, findings: &mut Vec<Findin
                     for g in &guards {
                         findings.push(Finding {
                             pass: "lock-discipline",
-                            level: Level::Deny,
                             file: file.rel_path.clone(),
                             line: toks[i].line,
                             col: toks[i].col,
@@ -225,7 +215,6 @@ fn scan_file(file: &SourceFile, graph: &mut LockGraph, findings: &mut Vec<Findin
                             if g.lock == lock {
                                 findings.push(Finding {
                                     pass: "lock-discipline",
-                                    level: Level::Deny,
                                     file: file.rel_path.clone(),
                                     line: toks[i].line,
                                     col: toks[i].col,

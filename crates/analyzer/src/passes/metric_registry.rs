@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::findings::{Finding, Level};
+use crate::findings::Finding;
 use crate::lexer::TokenKind;
 use crate::passes::{live_ident, report, Ctx, Pass};
 use crate::source::FileClass;
@@ -86,13 +86,11 @@ WHY: the time-series sampler, health rules, and dashboards (PR 6) address metric
 name string; the compiler sees none of it. A drifted name or type is a silent \
 observability outage — exactly the class of interface the paper's P1–P4 stack assumes \
 is stable. Dynamic names (`format!`-built, per-region labels) are out of lexical reach \
-and are governed by the runtime type check in the registry instead.\n\
-ALLOWLIST: convention violations may be excused for externally-mandated names; type \
-conflicts and a stale DESIGN.md table should be fixed, not excused."
+and are governed by the runtime type check in the registry instead."
     }
 
-    fn run(&self, ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>) {
-        let table = collect(ctx, level, out);
+    fn run(&self, ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
+        let table = collect(ctx, out);
         // Cross-type reuse.
         for (name, types) in &table.metrics {
             if types.len() > 1 {
@@ -100,7 +98,6 @@ conflicts and a stale DESIGN.md table should be fixed, not excused."
                 for (ty, (file, line)) in types {
                     out.push(Finding {
                         pass: self.id(),
-                        level,
                         file: file.clone(),
                         line: *line,
                         col: 1,
@@ -120,18 +117,16 @@ conflicts and a stale DESIGN.md table should be fixed, not excused."
             }
         }
         // DESIGN.md cross-check.
-        check_design_table(ctx, &table, level, out);
+        check_design_table(ctx, &table, out);
     }
 }
 
 /// Collects the metric table, reporting convention violations as findings.
-pub fn collect(ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>) -> MetricTable {
+pub fn collect(ctx: &Ctx<'_>, out: &mut Vec<Finding>) -> MetricTable {
     let mut table = MetricTable::default();
     for file in &ctx.ws.files {
-        let in_scope = matches!(
-            file.class,
-            FileClass::DataPlaneSrc | FileClass::CrateSrc | FileClass::RootSrc
-        ) && file.crate_name.as_deref() != Some("telemetry");
+        let in_scope = matches!(file.class, FileClass::CrateSrc | FileClass::RootSrc)
+            && file.crate_name.as_deref() != Some("telemetry");
         if !in_scope {
             continue;
         }
@@ -150,7 +145,6 @@ pub fn collect(ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>) -> MetricTab
                             file,
                             i + 2,
                             "metric-registry",
-                            level,
                             &name,
                             format!(
                                 "{what} name `{name}` violates the `component.sub.name` \
@@ -181,7 +175,7 @@ fn well_formed(name: &str) -> bool {
         })
 }
 
-fn check_design_table(ctx: &Ctx<'_>, table: &MetricTable, level: Level, out: &mut Vec<Finding>) {
+fn check_design_table(ctx: &Ctx<'_>, table: &MetricTable, out: &mut Vec<Finding>) {
     let Some(design) = &ctx.design_md else {
         return; // fixture runs have no DESIGN.md; the self-run does.
     };
@@ -193,7 +187,6 @@ fn check_design_table(ctx: &Ctx<'_>, table: &MetricTable, level: Level, out: &mu
     match actual {
         None => out.push(Finding {
             pass: "metric-registry",
-            level,
             file: "DESIGN.md".to_string(),
             line: 1,
             col: 1,
@@ -205,7 +198,6 @@ fn check_design_table(ctx: &Ctx<'_>, table: &MetricTable, level: Level, out: &mu
         }),
         Some(body) if body != expected.trim() => out.push(Finding {
             pass: "metric-registry",
-            level,
             file: "DESIGN.md".to_string(),
             line: 1,
             col: 1,
@@ -235,8 +227,8 @@ mod tests {
             design_md: design.map(str::to_string),
         };
         let mut out = Vec::new();
-        MetricRegistry.run(&ctx, Level::Deny, &mut out);
-        let table = collect(&ctx, Level::Deny, &mut Vec::new());
+        MetricRegistry.run(&ctx, &mut out);
+        let table = collect(&ctx, &mut Vec::new());
         (out, table)
     }
 

@@ -1,17 +1,14 @@
 //! The pass framework: a pass walks the lexed workspace and reports
 //! [`Finding`]s. Passes are deliberately independent — each one reads the
-//! token streams directly and owns its own scoping rules, so disabling or
-//! re-leveling one never changes another's output.
+//! token streams directly and owns its own scoping rules, so one pass never
+//! changes another's output.
 
-use crate::findings::{Finding, Level};
+use crate::findings::Finding;
 use crate::source::{SourceFile, Workspace};
 
-pub mod arena_ids;
-pub mod determinism;
 pub mod gates;
 pub mod lock_discipline;
 pub mod metric_registry;
-pub mod panic_surface;
 
 /// Context shared by all passes in one run.
 pub struct Ctx<'a> {
@@ -24,25 +21,20 @@ pub struct Ctx<'a> {
 
 /// One analysis pass.
 pub trait Pass {
-    /// Stable id used on the CLI, in findings, and in `lint.allow`.
+    /// Stable id used on the CLI and in findings.
     fn id(&self) -> &'static str;
     /// One-line summary shown by `--list-passes`.
     fn summary(&self) -> &'static str;
     /// The full rule description shown by `--explain <pass>`: what is
     /// flagged, where, and *why the rule exists* in this codebase.
     fn explain(&self) -> &'static str;
-    /// Runs the pass. `level` is the severity to attach to gate findings
-    /// (passes may still emit intrinsically-advisory findings as
-    /// [`Level::Warn`], e.g. slice-indexing).
-    fn run(&self, ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>);
+    /// Runs the pass, appending its findings to `out`.
+    fn run(&self, ctx: &Ctx<'_>, out: &mut Vec<Finding>);
 }
 
 /// All passes, in canonical order.
 pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(panic_surface::PanicSurface),
-        Box::new(determinism::Determinism),
-        Box::new(arena_ids::ArenaIds),
         Box::new(lock_discipline::LockDiscipline),
         Box::new(metric_registry::MetricRegistry),
         Box::new(gates::Gates),
@@ -62,14 +54,12 @@ pub(crate) fn report(
     file: &SourceFile,
     i: usize,
     pass: &'static str,
-    level: Level,
     key: &str,
     message: String,
 ) {
     let t = &file.tokens[i];
     out.push(Finding {
         pass,
-        level,
         file: file.rel_path.clone(),
         line: t.line,
         col: t.col,

@@ -4,8 +4,8 @@
 //! `target/`, VCS metadata, and analyzer test fixtures), lexes each one, and
 //! precomputes the two classifications every pass needs:
 //!
-//! * a [`FileClass`] derived from the path (data-plane crate source,
-//!   vendored shim, test/bench/example code, …), and
+//! * a [`FileClass`] derived from the path (crate source, vendored shim,
+//!   test/bench/example code, …), and
 //! * the set of tokens inside `#[cfg(test)]` items, found by walking the
 //!   token stream and brace-matching the attributed item — the lexer-aware
 //!   replacement for the old `awk '/#\[cfg\(test\)\]/{exit}'` truncation,
@@ -16,44 +16,14 @@ use std::path::{Path, PathBuf};
 
 use crate::lexer::{self, Token, TokenKind};
 
-/// The crates whose non-test code forms the data plane: a panic in any of
-/// them can take down ingest, merge, rotate, or query paths. `telemetry` is
-/// included because the observability layer must never panic the pipeline
-/// it observes.
-pub const DATA_PLANE_CRATES: &[&str] = &[
-    "flow",
-    "flowtree",
-    "flowdb",
-    "datastore",
-    "primitives",
-    "replication",
-    "storage",
-    "telemetry",
-];
-
-/// Crates whose query results must be bit-identical across runs and thread
-/// counts (the PR 4 equivalence proof): unordered-map iteration here is a
-/// determinism hazard.
-pub const RESULT_AFFECTING_CRATES: &[&str] = &[
-    "flow",
-    "flowtree",
-    "flowdb",
-    "datastore",
-    "primitives",
-    "replication",
-    "storage",
-];
-
 /// Vendored stand-ins for crates.io packages (offline build): analyzed only
-/// by the workspace-wide gates, not by data-plane policy passes.
+/// by the workspace-wide gates, not by the lock and metric passes.
 pub const VENDORED_SHIMS: &[&str] = &["rand", "proptest", "criterion"];
 
 /// Where a file sits in the workspace, which decides which passes apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// `crates/<name>/src/**` for a data-plane crate.
-    DataPlaneSrc,
-    /// `crates/<name>/src/**` for any other first-party crate.
+    /// `crates/<name>/src/**` for a first-party crate.
     CrateSrc,
     /// Vendored shim source (`crates/rand`, `crates/proptest`, `crates/criterion`).
     ShimSrc,
@@ -95,20 +65,6 @@ impl SourceFile {
             in_test,
         }
     }
-
-    /// Is the file part of the data plane's non-test surface?
-    pub fn is_data_plane(&self) -> bool {
-        self.class == FileClass::DataPlaneSrc
-    }
-
-    /// Is the crate one whose results must be deterministic?
-    pub fn is_result_affecting(&self) -> bool {
-        matches!(self.class, FileClass::DataPlaneSrc | FileClass::CrateSrc)
-            && self
-                .crate_name
-                .as_deref()
-                .is_some_and(|c| RESULT_AFFECTING_CRATES.contains(&c))
-    }
 }
 
 fn classify(rel_path: &str) -> (Option<String>, FileClass) {
@@ -118,8 +74,6 @@ fn classify(rel_path: &str) -> (Option<String>, FileClass) {
         let class = if parts[2] == "src" {
             if VENDORED_SHIMS.contains(&parts[1]) {
                 FileClass::ShimSrc
-            } else if DATA_PLANE_CRATES.contains(&parts[1]) {
-                FileClass::DataPlaneSrc
             } else {
                 FileClass::CrateSrc
             }
@@ -350,13 +304,13 @@ mod tests {
 
     #[test]
     fn classification() {
-        let dp = SourceFile::from_text("crates/flow/src/lib.rs", String::new());
-        assert_eq!(dp.class, FileClass::DataPlaneSrc);
+        let flow = SourceFile::from_text("crates/flow/src/lib.rs", String::new());
+        assert_eq!(flow.class, FileClass::CrateSrc);
+        assert_eq!(flow.crate_name.as_deref(), Some("flow"));
         let shim = SourceFile::from_text("crates/rand/src/lib.rs", String::new());
         assert_eq!(shim.class, FileClass::ShimSrc);
-        let core = SourceFile::from_text("crates/core/src/ops.rs", String::new());
-        assert_eq!(core.class, FileClass::CrateSrc);
-        assert!(!core.is_result_affecting());
+        let root = SourceFile::from_text("src/lib.rs", String::new());
+        assert_eq!(root.class, FileClass::RootSrc);
         let test = SourceFile::from_text("tests/chaos_e2e.rs", String::new());
         assert_eq!(test.class, FileClass::TestOrBench);
         let bench = SourceFile::from_text("crates/bench/benches/e3.rs", String::new());

@@ -8,11 +8,8 @@
 //! `tests/fixtures/`, which cargo never compiles and the workspace walker
 //! skips, so they are only ever seen through `SourceFile::from_text`.
 
-use std::collections::BTreeMap;
-
-use megastream_analyzer::allow::Allowlist;
-use megastream_analyzer::findings::{Finding, Level};
-use megastream_analyzer::passes::Ctx;
+use megastream_analyzer::findings::Finding;
+use megastream_analyzer::passes::{all_passes, Ctx};
 use megastream_analyzer::source::{SourceFile, Workspace};
 use megastream_analyzer::{run_with, Report};
 
@@ -21,7 +18,7 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
-/// Lints fixture contents mounted at data-plane paths, no allowlist.
+/// Lints fixture contents mounted at the given workspace paths.
 fn analyze(files: &[(&str, &str)]) -> Report {
     let ws = Workspace {
         files: files
@@ -33,57 +30,15 @@ fn analyze(files: &[(&str, &str)]) -> Report {
         ws: &ws,
         design_md: None,
     };
-    run_with(&ctx, &Allowlist::default(), &BTreeMap::new()).expect("analyzer run")
+    run_with(&ctx)
 }
 
 fn denies<'r>(report: &'r Report, pass: &str) -> Vec<&'r Finding> {
-    report
-        .findings
-        .iter()
-        .filter(|f| f.pass == pass && f.level == Level::Deny)
-        .collect()
+    report.findings.iter().filter(|f| f.pass == pass).collect()
 }
 
 fn count_key(findings: &[&Finding], key: &str) -> usize {
     findings.iter().filter(|f| f.key == key).count()
-}
-
-#[test]
-fn panic_surface_fires_on_bad_fixture() {
-    let report = analyze(&[("crates/flowdb/src/fixture.rs", "panic_surface_bad.rs")]);
-    let found = denies(&report, "panic-surface");
-    assert_eq!(count_key(&found, "unwrap"), 2, "{found:#?}");
-    assert_eq!(count_key(&found, "expect"), 1, "{found:#?}");
-    assert_eq!(count_key(&found, "panic"), 1, "{found:#?}");
-    assert_eq!(count_key(&found, "unreachable"), 1, "{found:#?}");
-    // The second unwrap sits AFTER the #[cfg(test)] module — the region the
-    // old awk gate truncated away. Prove it is seen.
-    let test_mod_line = fixture("panic_surface_bad.rs")
-        .lines()
-        .position(|l| l.contains("#[cfg(test)]"))
-        .expect("fixture has a test module") as u32
-        + 1;
-    assert!(
-        found
-            .iter()
-            .any(|f| f.key == "unwrap" && f.line > test_mod_line),
-        "no finding after the test module: {found:#?}"
-    );
-    // Indexing is advisory.
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.key == "index" && f.level == Level::Warn));
-}
-
-#[test]
-fn determinism_fires_on_bad_fixture() {
-    let report = analyze(&[("crates/primitives/src/fixture.rs", "determinism_bad.rs")]);
-    let found = denies(&report, "determinism");
-    assert_eq!(count_key(&found, "Instant::now"), 1, "{found:#?}");
-    assert_eq!(count_key(&found, "SystemTime::now"), 1, "{found:#?}");
-    assert!(count_key(&found, "HashMap") >= 2, "{found:#?}");
-    assert!(count_key(&found, "HashSet") >= 2, "{found:#?}");
 }
 
 #[test]
@@ -162,81 +117,27 @@ fn clean_fixture_is_silent() {
 
 #[test]
 fn every_pass_fired_somewhere() {
-    // Meta-check: the corpus exercises all five passes, so disabling any
-    // one of them flips at least one assertion above. Run the whole corpus
-    // together and require one deny per pass id.
+    // Meta-check: the corpus exercises every pass megalint runs, so
+    // disabling any one of them — or adding one without a firing fixture —
+    // fails here. Run the whole corpus together and require one finding per
+    // pass id.
     let report = analyze(&[
-        ("crates/flowdb/src/f1.rs", "panic_surface_bad.rs"),
-        ("crates/primitives/src/f2.rs", "determinism_bad.rs"),
-        ("crates/datastore/src/f3.rs", "lock_cycle_a.rs"),
-        ("crates/datastore/src/f4.rs", "lock_cycle_b.rs"),
-        ("crates/flowdb/src/f5.rs", "metric_bad.rs"),
-        ("crates/flow/src/f6.rs", "gates_bad.rs"),
+        ("crates/datastore/src/f1.rs", "lock_cycle_a.rs"),
+        ("crates/datastore/src/f2.rs", "lock_cycle_b.rs"),
+        ("crates/flowdb/src/f3.rs", "metric_bad.rs"),
+        ("crates/flow/src/f4.rs", "gates_bad.rs"),
     ]);
-    for pass in [
-        "panic-surface",
-        "determinism",
-        "lock-discipline",
-        "metric-registry",
-        "gates",
-    ] {
+    for pass in all_passes() {
         assert!(
-            !denies(&report, pass).is_empty(),
-            "pass {pass} produced no deny findings on the corpus"
+            !denies(&report, pass.id()).is_empty(),
+            "pass {} produced no findings on the corpus",
+            pass.id()
         );
     }
-}
-
-#[test]
-fn allowlist_suppresses_and_goes_stale() {
-    let ws = Workspace {
-        files: vec![SourceFile::from_text(
-            "crates/flowdb/src/fixture.rs",
-            fixture("panic_surface_bad.rs"),
-        )],
-    };
-    let ctx = Ctx {
-        ws: &ws,
-        design_md: None,
-    };
-    let allow = Allowlist::parse(
-        "panic-surface crates/flowdb/src/fixture.rs unwrap -- fixture exercise\n\
-         panic-surface crates/other/src/gone.rs unwrap -- matches nothing\n",
-    )
-    .expect("parse");
-    let report = run_with(&ctx, &allow, &BTreeMap::new()).expect("run");
-    assert_eq!(
-        report
-            .suppressed
-            .iter()
-            .filter(|f| f.key == "unwrap")
-            .count(),
-        2
-    );
-    assert!(report.findings.iter().all(|f| f.key != "unwrap"));
-    assert_eq!(report.stale_allows.len(), 1, "unmatched entry is stale");
-    assert!(report.is_failure(), "stale entries fail the gate");
-}
-
-#[test]
-fn warn_override_downgrades_a_pass() {
-    let ws = Workspace {
-        files: vec![SourceFile::from_text(
-            "crates/flowdb/src/fixture.rs",
-            fixture("panic_surface_bad.rs"),
-        )],
-    };
-    let ctx = Ctx {
-        ws: &ws,
-        design_md: None,
-    };
-    let mut levels = BTreeMap::new();
-    levels.insert("panic-surface".to_string(), Level::Warn);
-    let report = run_with(&ctx, &Allowlist::default(), &levels).expect("run");
-    assert!(report
-        .findings
-        .iter()
-        .filter(|f| f.pass == "panic-surface")
-        .all(|f| f.level == Level::Warn));
-    assert!(!report.is_failure());
+    // Findings come out in (file, line, col, pass, key) order, so two runs
+    // over the same tree diff clean.
+    let keys: Vec<_> = report.findings.iter().map(|f| f.sort_key()).collect();
+    let mut sorted = keys.clone();
+    sorted.sort();
+    assert_eq!(keys, sorted, "findings not in sort-key order");
 }

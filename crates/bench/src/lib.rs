@@ -6,6 +6,11 @@
 //! "figure series"), then runs Criterion micro-measurements of the hot
 //! operations involved.
 
+#![forbid(unsafe_code)]
+// The package's lint table lets the benches read the wall clock; the shared
+// workload builders here must not.
+#![deny(clippy::disallowed_methods)]
+
 use megastream_flow::record::FlowRecord;
 use megastream_flow::time::TimeDelta;
 use megastream_workloads::netflow::{FlowTraceConfig, FlowTraceGenerator};

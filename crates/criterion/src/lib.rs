@@ -16,6 +16,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures wall time"
+)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

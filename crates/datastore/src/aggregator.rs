@@ -138,10 +138,12 @@ impl AggregatorSpec {
 }
 
 /// A live aggregator instance inside a data store.
-// Flowtree dwarfs the other variants; instances live in a store's small
-// aggregator table, so per-variant boxing would cost more indirection on
-// every observe() than the padding costs in memory.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "Flowtree dwarfs the other variants; instances live in a store's small \
+              aggregator table, so per-variant boxing would cost more indirection on \
+              every observe() than the padding costs in memory"
+)]
 #[derive(Debug, Clone)]
 pub enum AggregatorInstance {
     /// A Flowtree.

@@ -69,9 +69,11 @@ impl Lineage {
 }
 
 /// A type-erased data summary produced by some aggregator.
-// Flowtree dwarfs the other variants; summaries are moved, not stored in
-// dense arrays, so the padding is cheaper than boxing every query path.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "Flowtree dwarfs the other variants; summaries are moved, not stored in \
+              dense arrays, so the padding is cheaper than boxing every query path"
+)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Summary {
     /// A Flowtree (network-monitoring primitive, §VI).
@@ -164,6 +166,13 @@ impl Summary {
     ///
     /// Panics if the kinds differ — heterogeneous summaries cannot be
     /// combined meaningfully.
+    #[expect(
+        clippy::panic,
+        reason = "Summary::combine documents a `# Panics` contract (P2): merging \
+                  summaries of different kinds is a wiring bug in the hierarchy, not a \
+                  runtime condition, and silently dropping data would corrupt the \
+                  aggregation proof"
+    )]
     pub fn combine(&mut self, other: &Summary) {
         match (self, other) {
             (Summary::Flowtree(a), Summary::Flowtree(b)) => a.merge(b),

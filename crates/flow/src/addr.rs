@@ -172,7 +172,10 @@ impl Prefix {
     }
 
     /// The mask length.
-    #[allow(clippy::len_without_is_empty)] // prefix length in bits, not a container
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "prefix length in bits, not a container"
+    )]
     pub fn len(self) -> u8 {
         self.len
     }

@@ -192,7 +192,10 @@ impl MaskedField {
     }
 
     /// The mask length (0 = wildcard, `width` = exact).
-    #[allow(clippy::len_without_is_empty)] // mask length in bits, not a container
+    #[allow(
+        clippy::len_without_is_empty,
+        reason = "mask length in bits, not a container"
+    )]
     pub const fn len(self) -> u8 {
         self.len
     }

@@ -54,6 +54,13 @@ pub struct GeneralizationSchema {
     order: StepOrder,
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the four default-schema constructors call .expect() on \
+              GeneralizationSchema::new over const literal ladders; validity is a \
+              compile-time property exercised by the schema unit tests, so failure is \
+              unreachable without editing the literals"
+)]
 impl GeneralizationSchema {
     /// Creates a schema from per-feature ladders and a step order.
     ///

@@ -10,8 +10,16 @@
 //!
 //! `NodeId`'s inner index is private to this module: all slot access goes
 //! through the arena's methods (or [`IdMap`]), so no `as usize` cast of a
-//! node id can appear outside this file — the `arena-ids` megalint pass
-//! is the lexical backstop for the same rule.
+//! node id can appear outside this file — rustc's privacy check rejects
+//! both `id.0` and `id.idx()` anywhere else.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the arena's key->id index is lookup-only on the ingest hot path \
+              (get/insert/remove by exact key); iteration order never reaches results — \
+              sibling lists are kept sorted by key, and every result path (pre-order walk, \
+              top_k, hhh, compression picks) orders with explicit key tie-breaks"
+)]
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

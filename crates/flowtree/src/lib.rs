@@ -50,6 +50,13 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Data-plane rules (DESIGN.md §12): no panicking call and no hash-ordered
+// collection in non-test code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::unreachable, reason = "tests are exempt"))]
+#![cfg_attr(test, allow(clippy::disallowed_types, reason = "tests are exempt"))]
 
 mod arena;
 mod builder;

@@ -14,6 +14,19 @@
 //! Do not use this type outside tests and benches; it is the slow baseline
 //! the E18 bench measures against.
 
+#![expect(
+    clippy::expect_used,
+    reason = "the oracle is the retired pointer tree kept verbatim (feature `oracle`, \
+              dev-only) as the differential-testing baseline; its internal parent-id \
+              expects are the pre-arena invariants the harness exists to cross-check"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "dev-only differential baseline (feature `oracle`): its key->slot index is \
+              lookup-only, and the arena_differential harness asserting bit-equal results \
+              against the arena tree is itself the proof no bucket order escapes"
+)]
+
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -80,27 +93,6 @@ impl OracleTree {
             total: Popularity::ZERO,
             records: 0,
         }
-    }
-
-    /// Rebuilds a tree from `(key, own score)` pairs plus the record count.
-    /// Pairs are inserted shallow-first, so each node attaches under its
-    /// deepest ancestor among them and zero-score interior nodes survive.
-    pub fn from_parts(
-        config: FlowtreeConfig,
-        nodes: Vec<(FlowKey, Popularity)>,
-        records: u64,
-    ) -> Self {
-        let mut tree = OracleTree::new(config);
-        let mut entries: Vec<(usize, FlowKey, Popularity)> = nodes
-            .into_iter()
-            .map(|(key, own)| (tree.config.schema.depth(&key), key, own))
-            .collect();
-        entries.sort_by_key(|(depth, _, _)| *depth);
-        for (_, key, own) in entries {
-            tree.insert_exact(&key, own);
-        }
-        tree.records = records;
-        tree
     }
 
     /// The tree's configuration.

@@ -157,6 +157,12 @@ impl<T: Clone + PartialOrd> Reservoir<T> {
     ///
     /// Panics if `q` is outside `0.0..=1.0` or any sampled value is
     /// unordered (e.g. NaN).
+    #[expect(
+        clippy::expect_used,
+        reason = "the quantile sort's partial_cmp expect encodes the documented non-NaN \
+                  contract of the generic T: PartialOrd API; all in-tree instantiations are \
+                  integer scores where NaN cannot occur"
+    )]
     pub fn quantile(&self, q: f64) -> Option<T> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside 0..=1");
         if self.items.is_empty() {

@@ -351,6 +351,12 @@ impl TimeBinStats {
     /// # Panics
     ///
     /// Panics if the widths are incompatible (neither divides the other).
+    #[expect(
+        clippy::panic,
+        reason = "absorb() documents a `# Panics` contract: bins of different widths \
+                  cannot be merged without aliasing time ranges; the width is fixed at \
+                  construction so a mismatch is a configuration bug caught in tests"
+    )]
     pub fn absorb(&mut self, series: &BinnedSeries) {
         let width = self.effective_width();
         let series_owned;

@@ -9,6 +9,12 @@
 //! damaged segments rewritten; the exit code then reflects the state
 //! *after* repair.
 
+// Data-plane rules (DESIGN.md §12): no panicking call and no hash-ordered
+// collection in non-test code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::disallowed_types)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

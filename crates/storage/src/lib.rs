@@ -20,11 +20,18 @@
 //!
 //! Recovery is *total*: torn tails are truncated and counted, checksum
 //! mismatches in sealed data are quarantined and counted, and every failure
-//! mode surfaces as a typed [`SegmentError`] — never a panic (the megalint
-//! panic-surface pass covers this crate).
+//! mode surfaces as a typed [`SegmentError`] — never a panic (clippy's
+//! panic lints, denied at this crate's root, cover it).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Data-plane rules (DESIGN.md §12): no panicking call and no hash-ordered
+// collection in non-test code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::unreachable, reason = "tests are exempt"))]
+#![cfg_attr(test, allow(clippy::disallowed_types, reason = "tests are exempt"))]
 
 use std::path::PathBuf;
 

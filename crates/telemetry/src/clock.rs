@@ -1,17 +1,17 @@
 //! The single sanctioned monotonic-clock site in the workspace.
 //!
-//! `megalint`'s determinism pass denies `Instant::now()` everywhere else in
-//! first-party crate code: the PR 4 equivalence proof (bit-identical
-//! results across `Sequential` and `Threads(n)`) only holds while no
-//! result path consults a clock, and concentrating every read here makes
-//! "who can observe time?" a one-file audit instead of a grep. Telemetry
-//! spans, scoped timers, the trace store's epoch, and the data plane's
-//! worker-busy accounting all measure durations through [`Stopwatch`];
-//! none of them can leak an absolute time into a result.
+//! Clippy's `disallowed_methods` lint denies `Instant::now()` and
+//! `SystemTime::now()` everywhere else in first-party code (`clippy.toml`):
+//! the parallel equivalence proof (bit-identical results across
+//! `Sequential` and `Threads(n)`) only holds while no result path consults
+//! a clock, and concentrating every read here makes "who can observe
+//! time?" a one-file audit instead of a grep. Telemetry spans, scoped
+//! timers, the trace store's epoch, and the data plane's worker-busy
+//! accounting all measure durations through [`Stopwatch`]; none of them
+//! can leak an absolute time into a result.
 //!
 //! Benches and the vendored criterion shim read `Instant` directly — they
-//! *are* measurement harnesses — and tests/examples are out of the pass's
-//! scope.
+//! *are* measurement harnesses.
 
 use std::time::Instant;
 
@@ -22,6 +22,10 @@ use std::time::Instant;
 pub struct Stopwatch(Instant);
 
 /// Starts a stopwatch at the current monotonic instant.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned clock read: callers get only relative durations"
+)]
 pub fn start() -> Stopwatch {
     Stopwatch(Instant::now())
 }

@@ -52,6 +52,10 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Data-plane rules (DESIGN.md §12): no panicking call in non-test code.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(test, allow(clippy::unreachable, reason = "tests are exempt"))]
 
 pub mod clock;
 pub mod health;

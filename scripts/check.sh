@@ -10,6 +10,38 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> clippy rules fire by name on a known-bad crate, and not in its tests"
+# DESIGN.md §12's panic, hash-order, wall-clock and reason rules live in
+# the manifests, clippy.toml and the data-plane crate roots. The fixture is
+# a workspace of its own with a data-plane crate root; its lint levels must
+# equal the root manifest's, and clippy finds the root clippy.toml from it.
+levels='^[a-z_]+ = "(allow|warn|deny|forbid)"$'
+diff <(grep -E "$levels" Cargo.toml) <(grep -E "$levels" scripts/clippy-fixture/Cargo.toml)
+fixture_out=target/clippy-fixture.json
+if CARGO_TARGET_DIR=target/clippy-fixture cargo clippy -q --offline --locked \
+  --manifest-path scripts/clippy-fixture/Cargo.toml --all-targets \
+  --message-format=json >"$fixture_out" 2>/dev/null; then
+  echo "clippy accepted the known-bad fixture"
+  exit 1
+fi
+require() {
+  grep -Eq "$1" "$fixture_out" || { echo "clippy fixture: no diagnostic matches $1"; exit 1; }
+}
+for lint in clippy::unwrap_used clippy::expect_used clippy::panic clippy::unreachable \
+  clippy::todo clippy::unimplemented clippy::disallowed_types clippy::disallowed_methods \
+  clippy::allow_attributes_without_reason unfulfilled_lint_expectations; do
+  require "\"code\":\\{\"code\":\"$lint\""
+done
+# alias.rs names no hash type: only a resolved path can flag it.
+require 'disallowed type `std::collections::HashMap`\\n --> src/alias.rs'
+require 'disallowed method `std::time::Instant::now`'
+require 'disallowed method `std::time::SystemTime::now`'
+require '`expect` attribute without specifying a reason'
+if grep -q '"file_name":"src/tests.rs"' "$fixture_out"; then
+  echo "clippy fixture: a test-exempt use in src/tests.rs was reported"
+  exit 1
+fi
+
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 # Broken, ambiguous or redundant intra-doc links fail here, so an item
 # that is deleted or made private cannot leave a dangling link behind.
@@ -98,13 +130,10 @@ awk '
   }
 ' target/quickstart.collapsed
 
-echo "==> megalint (static analysis, deny mode)"
-# Replaces the old grep/awk gates (#[ignore], telemetry unwrap/expect,
-# unsafe) with the lexer-aware analyzer: it tokenizes instead of pattern
-# matching (no false hits in strings/comments, no files truncated at the
-# first test module) and adds the determinism, lock-discipline, and
-# metric-registry passes. Suppressions live in lint.allow, each with a
-# mandatory justification; stale entries fail the gate.
+echo "==> megalint (lock order, metric names, unsafe and #[ignore] bans)"
+# The rules clippy cannot express: the workspace-wide lock acquisition
+# graph, metric names against DESIGN.md's registry table, and token-accurate
+# `unsafe` / `#[ignore]` bans that also cover perfbench/. Any finding fails.
 cargo run -q --release -p megastream-analyzer -- --root .
 
 echo "All checks passed."

@@ -4,4 +4,6 @@
 //! directories are built as part of the workspace. The actual library lives
 //! in the [`megastream`] facade crate and the `megastream-*` member crates.
 
+#![forbid(unsafe_code)]
+
 pub use megastream;
